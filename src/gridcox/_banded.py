@@ -123,10 +123,3 @@ class ArrowFactor:
             x_d = np.zeros(0)
         x_w = self.rw.solve_r(z_w - self.x @ x_d)
         return x_w, x_d
-
-    def dense_block_cov(self) -> np.ndarray:
-        """Marginal covariance of the dense block: (S - X.T X)^{-1}."""
-        if not self.m:
-            return np.zeros((0, 0))
-        inv_l = np.linalg.solve(self.ls, np.eye(self.m))
-        return inv_l.T @ inv_l

@@ -127,6 +127,8 @@ def validation_residuals(
     unscaled exposures, so its intensity estimates the thinned training rate.
     Returns one (A, G_t) array per campaign.
     """
+    lam = like.eta(draws.w, draws.dense)
+    np.exp(lam, out=lam)  # (A, N) intensity draws
     out: dict[int, np.ndarray] = {}
     for t in like.campaigns:
         design = like.designs[t]
@@ -144,8 +146,7 @@ def validation_residuals(
             raise ValueError(f"campaign {t}: validation points outside the partition")
         counts = np.bincount(g_of_point, minlength=n_g).astype(float)
 
-        lam = np.exp(draws.log_intensity_draws(design, t))
-        integral = (lam @ member) * (design.weight / (n_folds - 1))
+        integral = (lam[:, like.rows[t]] @ member) * (design.weight / (n_folds - 1))
         out[t] = counts[None, :] - integral
     return out
 
@@ -156,21 +157,16 @@ class ResidualTensor:
 
     n_folds: int
     tensors: dict[int, np.ndarray]
-    partitions: dict[int, PartitionScheme]
 
     @classmethod
-    def from_folds(
-        cls,
-        per_fold: list[dict[int, np.ndarray]],
-        partitions: dict[int, PartitionScheme],
-    ) -> "ResidualTensor":
+    def from_folds(cls, per_fold: list[dict[int, np.ndarray]]) -> "ResidualTensor":
         if not per_fold:
             raise ValueError("no fold residuals given")
         campaigns = sorted(per_fold[0])
         tensors = {
             t: np.stack([fold[t] for fold in per_fold], axis=1) for t in campaigns
         }
-        return cls(n_folds=len(per_fold), tensors=tensors, partitions=partitions)
+        return cls(n_folds=len(per_fold), tensors=tensors)
 
     @property
     def campaigns(self) -> list[int]:
@@ -214,40 +210,22 @@ def crps_empirical(samples: np.ndarray, y: float = 0.0, method: str = "sort") ->
     raise ValueError(f"unknown method {method!r}")
 
 
-def aggregate_crps(
-    tensor: ResidualTensor, weights: str = "equal"
-) -> tuple[dict[int, np.ndarray], float]:
+def aggregate_crps(tensor: ResidualTensor) -> tuple[dict[int, np.ndarray], float]:
     """Fold-averaged CRPS per (subset, campaign), plus one pooled score.
 
     Per subset g and campaign t the score is the mean over folds of the CRPS
-    of that fold's residual ensemble against 0. Pooling is an unweighted mean
-    over all (g, t) by default, or an area-weighted mean (subset cell counts)
-    with ``weights="area"``.
+    of that fold's residual ensemble against 0 (``crps_empirical``'s sort
+    route, applied along the draw axis of every ensemble at once). Pooling
+    is an unweighted mean over all (g, t).
     """
-    if weights not in ("equal", "area"):
-        raise ValueError(f"unknown weighting {weights!r}")
     by_campaign: dict[int, np.ndarray] = {}
-    values = []
-    weight_values = []
     for t in tensor.campaigns:
         arr = tensor.tensors[t]  # (A, K, G)
-        _, n_k, n_g = arr.shape
-        scores = np.empty(n_g)
-        for g in range(n_g):
-            scores[g] = np.mean(
-                [crps_empirical(arr[:, k, g], 0.0) for k in range(n_k)]
-            )
-        by_campaign[t] = scores
-        values.append(scores)
-        if weights == "area":
-            sizes = np.array([len(s) for s in tensor.partitions[t].subsets], dtype=float)
-            weight_values.append(sizes)
-    flat = np.concatenate(values)
-    if weights == "equal":
-        overall = float(flat.mean())
-    else:
-        wts = np.concatenate(weight_values)
-        overall = float(np.dot(flat, wts) / wts.sum())
+        a = arr.shape[0]
+        rank_coef = 2.0 * np.arange(a) - a + 1.0
+        gini = np.tensordot(rank_coef, np.sort(arr, axis=0), axes=(0, 0)) / (a * a)
+        by_campaign[t] = (np.abs(arr).mean(axis=0) - gini).mean(axis=0)
+    overall = float(np.concatenate(list(by_campaign.values())).mean())
     return by_campaign, overall
 
 
@@ -306,7 +284,6 @@ class _StudyPayload:
     seed: int
     partitions: dict[int, PartitionScheme]
     fail_fast: bool = True
-    theta_init: dict[str, np.ndarray] | None = None
 
 
 _PAYLOAD: _StudyPayload | None = None
@@ -345,8 +322,9 @@ def _full_fit_task(model_idx: int):
     )
 
 
-def _fold_fit_task(model_idx: int, k: int):
-    """Fit fold k's training pattern and score its validation residuals."""
+def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
+    """Fit fold k's training pattern, warm-started at the full fit's hyper
+    mode ``theta_init``, and score its validation residuals."""
     p = _PAYLOAD
     spec = p.specs[model_idx]
     try:
@@ -355,8 +333,7 @@ def _fold_fit_task(model_idx: int, k: int):
         train, val = split(p.points, folds, k)
         like = bin_points(spec, p.stack, p.campaign_domains, train, mesh=mesh)
         rng = derive_rng(p.seed, spec.model_id, "fold", k)
-        theta0 = p.theta_init[spec.model_id] if p.theta_init else None
-        draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta0)
+        draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init)
         resid = validation_residuals(draws, like, p.partitions, val, p.n_folds)
     except Exception as e:
         if p.fail_fast:
@@ -419,36 +396,32 @@ def run_study(
         fail_fast=fail_fast,
     )
 
-    ctx = get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=max(1, workers), mp_context=ctx, initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        full = list(pool.map(_full_fit_task, range(len(specs))))
     dic: dict[str, DicResult] = {}
     summaries: dict[str, FitSummary] = {}
-    theta_init: dict[str, np.ndarray] = {}
     failures: dict[str, list[str]] = {}
-    for model_idx, dic_res, summary, theta, err in sorted(full, key=lambda r: r[0]):
-        if err is not None:
-            failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
-            continue
-        dic[ids[model_idx]] = dic_res
-        summaries[ids[model_idx]] = summary
-        theta_init[ids[model_idx]] = theta
-
-    # fold fits warm-start from the full fit's hyper mode; workers need the
-    # updated payload, so a fresh pool is started for this phase
-    payload.theta_init = theta_init
-    live = [i for i in range(len(specs)) if ids[i] not in failures]
-    tasks = [(i, k) for i in live for k in range(1, n_folds + 1)]
     results: dict[tuple[int, int], dict[int, np.ndarray]] = {}
     with ProcessPoolExecutor(
-        max_workers=max(1, workers), mp_context=ctx, initializer=_init_worker,
-        initargs=(payload,),
+        max_workers=max(1, workers), mp_context=get_context("spawn"),
+        initializer=_init_worker, initargs=(payload,),
     ) as pool:
+        theta_init: dict[int, np.ndarray] = {}
+        for model_idx, dic_res, summary, theta, err in pool.map(
+            _full_fit_task, range(len(specs))
+        ):
+            if err is not None:
+                failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
+                continue
+            dic[ids[model_idx]] = dic_res
+            summaries[ids[model_idx]] = summary
+            theta_init[model_idx] = theta
+
+        # fold fits warm-start from their model's full-fit hyper mode
+        tasks = [(i, k) for i in theta_init for k in range(1, n_folds + 1)]
         for model_idx, k, resid, err in pool.map(
-            _fold_fit_task, [t[0] for t in tasks], [t[1] for t in tasks]
+            _fold_fit_task,
+            [i for i, _ in tasks],
+            [k for _, k in tasks],
+            [theta_init[i] for i, _ in tasks],
         ):
             if err is not None:
                 failures.setdefault(ids[model_idx], []).append(f"fold {k}: {err}")
@@ -462,7 +435,7 @@ def run_study(
         if spec.model_id in failures:
             continue
         per_fold = [results[(i, k)] for k in range(1, n_folds + 1)]
-        tensor = ResidualTensor.from_folds(per_fold, partitions)
+        tensor = ResidualTensor.from_folds(per_fold)
         by_campaign, overall = aggregate_crps(tensor)
         scores[spec.model_id] = overall
         by_subset[spec.model_id] = by_campaign

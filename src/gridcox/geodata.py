@@ -1,4 +1,4 @@
-"""Gridded spatial data: rasters, domain masks, partitions, quadrature, point sets.
+"""Gridded spatial data: rasters, domain masks, partitions, point sets.
 
 Conventions used throughout the package:
 
@@ -25,7 +25,6 @@ __all__ = [
     "RasterGrid",
     "DomainMask",
     "PartitionScheme",
-    "QuadratureScheme",
     "PointPattern",
     "CovariateStack",
     "load_raster",
@@ -33,7 +32,6 @@ __all__ = [
     "read_legend",
     "zonal_aggregate",
     "build_partition",
-    "build_quadrature",
     "habitat_domains",
     "read_points",
     "write_points",
@@ -203,29 +201,6 @@ class PartitionScheme:
         inside = cells >= 0
         out[inside] = self.cell_subset.ravel()[cells[inside]]
         return out
-
-
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Midpoint quadrature over a domain: one node per included cell."""
-
-    domain: DomainMask
-    cell_ids: np.ndarray
-    nodes: np.ndarray  # (Q, 2)
-    weights: np.ndarray  # (Q,)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.cell_ids.size
-
-    def node_of_cell(self) -> np.ndarray:
-        """Flat-cell-id -> quadrature node index map (-1 for excluded cells)."""
-        out = np.full(self.domain.grid.n_cells, -1, dtype=int)
-        out[self.cell_ids] = np.arange(self.n_nodes)
-        return out
-
-    def integrate(self, values_at_nodes: np.ndarray) -> float:
-        return float(np.dot(self.weights, values_at_nodes))
 
 
 @dataclass(frozen=True)
@@ -521,18 +496,6 @@ def build_partition(domain: DomainMask, rows: int, cols: int) -> PartitionScheme
     )
 
 
-def build_quadrature(domain: DomainMask) -> QuadratureScheme:
-    """Midpoint rule: one node per included cell, weight = cell area."""
-    if domain.n_included == 0:
-        raise ValueError("cannot build quadrature over an empty domain")
-    grid = domain.grid
-    cell_ids = domain.cell_ids
-    cx, cy = grid.cell_centers()
-    nodes = np.column_stack([cx.ravel()[cell_ids], cy.ravel()[cell_ids]])
-    weights = np.full(cell_ids.size, grid.cell_area)
-    return QuadratureScheme(domain=domain, cell_ids=cell_ids, nodes=nodes, weights=weights)
-
-
 def habitat_domains(
     habitat: RasterGrid, poceanica_label: str
 ) -> tuple[DomainMask, DomainMask, DomainMask]:
@@ -700,9 +663,3 @@ class CovariateStack:
         if np.any(~np.isfinite(hab)):
             raise ValueError("habitat classification undefined at some domain cells")
         return (hab == code).astype(float)
-
-    def column_stats(self, name: str, mask: DomainMask) -> tuple[float, float]:
-        """Mean and standard deviation of a column over a mask's cells."""
-        vals = self.values_at(name, mask.cell_ids)
-        sd = float(np.std(vals))
-        return float(np.mean(vals)), sd if sd > 0 else 1.0

@@ -66,21 +66,27 @@ class FitError(RuntimeError):
 
 @dataclass
 class GriddedLikelihood:
-    """Cell counts, exposures and design pieces for every campaign.
+    """Cell counts and design of every campaign, stacked into one Poisson model.
 
-    ``exposure[t]`` is the quadrature weight alpha_q times any thinning
-    factor, so the Poisson mean at a cell is exposure * exp(eta).
-    ``dense_design[t]`` holds the columns multiplying the dense effects, in
-    ``spec.dense_names`` order.
+    The N rows are the cells of every campaign domain, campaign by campaign
+    in ``campaigns`` order; ``rows[t]`` is campaign t's slice of them. ``y``
+    holds the counts and ``exposure`` the quadrature weight alpha_q (the cell
+    area), so the Poisson mean of a row is exposure * exp(eta). ``x``
+    (N x n_dense) holds the columns multiplying the dense effects, in
+    ``spec.dense_names`` order, and ``mesh_index`` each row's mesh node
+    (empty for field-free models). ``designs[t]`` keeps campaign t's cell
+    ids and weight.
     """
 
     spec: ModelSpec
     mesh: LatticeMesh | None
     campaigns: list[int]
     designs: dict[int, CellDesign]
-    counts: dict[int, np.ndarray]
-    exposure: dict[int, np.ndarray]
-    dense_design: dict[int, np.ndarray]
+    rows: dict[int, slice]
+    y: np.ndarray
+    exposure: np.ndarray
+    x: np.ndarray
+    mesh_index: np.ndarray
     n_points: int
 
     @property
@@ -91,45 +97,28 @@ class GriddedLikelihood:
     def n_dense(self) -> int:
         return self.spec.n_dense
 
-    def with_exposure_factor(self, factor: float) -> "GriddedLikelihood":
-        """Same data with every exposure scaled (used for thinned training)."""
-        if factor <= 0:
-            raise ValueError("exposure factor must be positive")
-        return GriddedLikelihood(
-            spec=self.spec,
-            mesh=self.mesh,
-            campaigns=self.campaigns,
-            designs=self.designs,
-            counts=self.counts,
-            exposure={t: e * factor for t, e in self.exposure.items()},
-            dense_design=self.dense_design,
-            n_points=self.n_points,
-        )
+    @property
+    def loglik_const(self) -> float:
+        """Terms of the log-likelihood free of eta: sum y log alpha - log y!."""
+        return float(self.y @ np.log(self.exposure) - gammaln(self.y + 1.0).sum())
 
-    def with_counts(self, counts: dict[int, np.ndarray], n_points: int) -> "GriddedLikelihood":
-        return GriddedLikelihood(
-            spec=self.spec,
-            mesh=self.mesh,
-            campaigns=self.campaigns,
-            designs=self.designs,
-            counts=counts,
-            exposure=self.exposure,
-            dense_design=self.dense_design,
-            n_points=n_points,
-        )
+    def eta(self, w: np.ndarray, dense: np.ndarray) -> np.ndarray:
+        """Log-intensity of every row: (N,) for one effect vector, (A, N) for
+        draws stacked along the first axis."""
+        out = dense @ self.x.T
+        if self.n_mesh:
+            out += w[..., self.mesh_index]
+        return out
 
+    def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
+        """Expected count of every row at log-intensities ``eta``."""
+        return self.exposure * np.exp(np.minimum(eta, ETA_CLIP))
 
-def count_loglik(like: GriddedLikelihood, etas: dict[int, np.ndarray]) -> float:
-    """Poisson count log-likelihood (constants included) at given log-intensities."""
-    total = 0.0
-    for t in like.campaigns:
-        y = like.counts[t]
-        e = like.exposure[t]
-        mean = e * np.exp(np.minimum(etas[t], ETA_CLIP))
-        total += float(
-            np.dot(y, etas[t] + np.log(e)) - mean.sum() - gammaln(y + 1.0).sum()
-        )
-    return total
+    def loglik(self, eta: np.ndarray, with_const: bool = False) -> float:
+        """Poisson count log-likelihood at stacked log-intensities ``eta``;
+        ``with_const`` adds the eta-free ``loglik_const``."""
+        total = float(self.y @ eta - self.poisson_mean(eta).sum())
+        return total + self.loglik_const if with_const else total
 
 
 def dense_design_matrix(spec: ModelSpec, design: CellDesign, campaign: int) -> np.ndarray:
@@ -154,22 +143,25 @@ def bin_points(
     points: PointPattern,
     mesh: LatticeMesh | None = None,
 ) -> GriddedLikelihood:
-    """Reduce a point pattern to per-campaign cell counts.
+    """Reduce a point pattern to cell counts, stacked over campaigns.
 
     Every point must fall in a cell of its campaign's domain; stray points
-    (outside the grid, on an unclassified cell, or in the wrong sub-domain)
-    are a hard error rather than silently dropped.
+    (campaign label outside 1..T, outside the grid, on an unclassified cell,
+    or in the wrong sub-domain) are a hard error rather than silently dropped.
     """
-    if set(campaign_domains) != set(range(1, spec.n_campaigns + 1)):
+    n_t = spec.n_campaigns
+    if set(campaign_domains) != set(range(1, n_t + 1)):
         raise ValueError("campaign domains must cover campaigns 1..T")
     if spec.include_field and mesh is None:
         raise ValueError("field models need a mesh")
+    unlabelled = int(np.sum((points.campaign < 1) | (points.campaign > n_t)))
+    if unlabelled:
+        raise ValueError(f"{unlabelled} points have a campaign label outside 1..{n_t}")
     grid = stack.grid
-    designs, counts, exposure, dense = {}, {}, {}, {}
-    n_points = 0
-    for t in range(1, spec.n_campaigns + 1):
-        domain = campaign_domains[t]
-        design = build_design(spec, stack, domain, mesh)
+    campaigns = list(range(1, n_t + 1))
+    designs = {t: build_design(spec, stack, campaign_domains[t], mesh) for t in campaigns}
+    counts = []
+    for t, design in designs.items():
         pts = points.for_campaign(t)
         cells = grid.cell_of_points(pts.x, pts.y)
         node_of = np.full(grid.n_cells, -1, dtype=int)
@@ -180,21 +172,19 @@ def bin_points(
             raise ValueError(
                 f"campaign {t}: {stray} points fall outside the campaign domain"
             )
-        y = np.bincount(node, minlength=design.n_cells).astype(float)
-        designs[t] = design
-        counts[t] = y
-        exposure[t] = np.full(design.n_cells, design.weight)
-        dense[t] = dense_design_matrix(spec, design, t)
-        n_points += pts.n
+        counts.append(np.bincount(node, minlength=design.n_cells).astype(float))
+    ends = np.cumsum([d.n_cells for d in designs.values()])
     return GriddedLikelihood(
         spec=spec,
         mesh=mesh if spec.include_field else None,
-        campaigns=sorted(designs),
+        campaigns=campaigns,
         designs=designs,
-        counts=counts,
-        exposure=exposure,
-        dense_design=dense,
-        n_points=n_points,
+        rows={t: slice(end - d.n_cells, end) for (t, d), end in zip(designs.items(), ends)},
+        y=np.concatenate(counts),
+        exposure=np.concatenate([np.full(d.n_cells, d.weight) for d in designs.values()]),
+        x=np.vstack([dense_design_matrix(spec, d, t) for t, d in designs.items()]),
+        mesh_index=np.concatenate([d.mesh_index for d in designs.values()]),
+        n_points=points.n,
     )
 
 
@@ -211,7 +201,6 @@ class _DenseFactor:
             self.ls = np.linalg.cholesky(s_dense)
         except np.linalg.LinAlgError as err:
             raise FitError(f"non-positive-definite Hessian: {err}") from None
-        self.m = s_dense.shape[0]
 
     @property
     def logdet(self) -> float:
@@ -223,10 +212,6 @@ class _DenseFactor:
 
     def sample(self, z_w, z_d):
         return np.zeros(0), np.linalg.solve(self.ls.T, z_d)
-
-    def dense_block_cov(self) -> np.ndarray:
-        inv_l = np.linalg.solve(self.ls, np.eye(self.m))
-        return inv_l.T @ inv_l
 
 
 class _Inner:
@@ -244,30 +229,6 @@ class _Inner:
                 raise ValueError("campaign models need tau")
             prior[self.m - self.spec.n_campaigns :] = tau
         self.dense_prior = prior
-        # constant likelihood terms: sum N_q log alpha_q - log N_q!
-        const = 0.0
-        for t in like.campaigns:
-            y = like.counts[t]
-            e = like.exposure[t]
-            const += float(np.dot(y, np.log(e)) - gammaln(y + 1.0).sum())
-        self.loglik_const = const
-
-    def etas(self, u_w: np.ndarray, u_d: np.ndarray) -> dict[int, np.ndarray]:
-        out = {}
-        for t in self.like.campaigns:
-            eta = self.like.dense_design[t] @ u_d
-            if self.n_w:
-                eta = eta + u_w[self.like.designs[t].mesh_index]
-            out[t] = eta
-        return out
-
-    def loglik(self, etas: dict[int, np.ndarray], with_const: bool = False) -> float:
-        total = self.loglik_const if with_const else 0.0
-        for t in self.like.campaigns:
-            y = self.like.counts[t]
-            mean = self.like.exposure[t] * np.exp(np.minimum(etas[t], ETA_CLIP))
-            total += float(np.dot(y, etas[t]) - mean.sum())
-        return total
 
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
         quad = float(np.dot(self.dense_prior * u_d, u_d))
@@ -276,43 +237,31 @@ class _Inner:
         return quad
 
     def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
-        return self.loglik(self.etas(u_w, u_d)) - 0.5 * self.prior_quad(u_w, u_d)
+        return self.like.loglik(self.like.eta(u_w, u_d)) - 0.5 * self.prior_quad(u_w, u_d)
 
     def gradient(self, u_w: np.ndarray, u_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g_w = np.zeros(self.n_w)
-        g_d = -self.dense_prior * u_d
+        like = self.like
+        resid = like.y - like.poisson_mean(like.eta(u_w, u_d))
+        g_d = like.x.T @ resid - self.dense_prior * u_d
+        g_w = np.zeros(0)
         if self.n_w:
+            g_w = np.bincount(like.mesh_index, weights=resid, minlength=self.n_w)
             g_w -= _banded.matvec(self.field_ab, u_w)
-        for t, eta in self.etas(u_w, u_d).items():
-            resid = self.like.counts[t] - self.like.exposure[t] * np.exp(
-                np.minimum(eta, ETA_CLIP)
-            )
-            g_d += self.like.dense_design[t].T @ resid
-            if self.n_w:
-                g_w += np.bincount(
-                    self.like.designs[t].mesh_index, weights=resid, minlength=self.n_w
-                )
         return g_w, g_d
 
     def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
         """Factor of the negated Hessian (prior precision + Poisson weights)."""
-        s = np.diag(self.dense_prior).astype(float)
-        if self.n_w:
-            d_w = np.zeros(self.n_w)
-            b = np.zeros((self.n_w, self.m))
-        for t, eta in self.etas(u_w, u_d).items():
-            w = self.like.exposure[t] * np.exp(np.minimum(eta, ETA_CLIP))
-            x = self.like.dense_design[t]
-            s += (x * w[:, None]).T @ x
-            if self.n_w:
-                idx = self.like.designs[t].mesh_index
-                d_w += np.bincount(idx, weights=w, minlength=self.n_w)
-                for j in range(self.m):
-                    b[:, j] += np.bincount(idx, weights=w * x[:, j], minlength=self.n_w)
+        like = self.like
+        w = like.poisson_mean(like.eta(u_w, u_d))
+        s = np.diag(self.dense_prior) + (like.x * w[:, None]).T @ like.x
         if not self.n_w:
             return _DenseFactor(s)
+        idx = like.mesh_index
+        b = np.column_stack(
+            [np.bincount(idx, weights=w * like.x[:, j], minlength=self.n_w) for j in range(self.m)]
+        )
         ab = self.field_ab.copy()
-        ab[-1] += d_w
+        ab[-1] += np.bincount(idx, weights=w, minlength=self.n_w)
         try:
             return _banded.ArrowFactor(ab, b, s)
         except np.linalg.LinAlgError as err:
@@ -458,7 +407,7 @@ class _Explorer:
         if self.spec.include_field:
             logdet_prior += _banded.BandedChol(ab).logdet
         lp = (
-            inner.loglik(inner.etas(u_w, u_d), with_const=True)
+            self.like.loglik(self.like.eta(u_w, u_d), with_const=True)
             - 0.5 * inner.prior_quad(u_w, u_d)
             + 0.5 * logdet_prior
             - 0.5 * factor.logdet
@@ -549,14 +498,6 @@ class PosteriorDraws:
     def effects_at(self, a: int) -> EffectVector:
         w = self.w[a] if self.spec.include_field else np.zeros(0)
         return EffectVector.from_dense(self.spec, self.dense[a], w)
-
-    def log_intensity_draws(self, design: CellDesign, campaign: int) -> np.ndarray:
-        """(A, n_cells) log-intensity draws at a design's cells."""
-        x = dense_design_matrix(self.spec, design, campaign)
-        eta = self.dense @ x.T
-        if self.spec.include_field:
-            eta = eta + self.w[:, design.mesh_index]
-        return eta
 
     def mean_effects(self) -> EffectVector:
         w = self.w.mean(axis=0) if self.spec.include_field else np.zeros(0)
@@ -741,15 +682,12 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     deviance at the posterior-mean effects. The log-intensity is linear in
     the effects, so the plug-in deviance uses the mean of the eta draws.
     """
-    eta_draws = {
-        t: draws.log_intensity_draws(like.designs[t], t) for t in like.campaigns
-    }
-    total = 0.0
-    for a in range(draws.n_draws):
-        total += -2.0 * count_loglik(like, {t: eta_draws[t][a] for t in like.campaigns})
-    dbar = total / draws.n_draws
-    d_hat = -2.0 * count_loglik(
-        like, {t: eta_draws[t].mean(axis=0) for t in like.campaigns}
-    )
+    eta = like.eta(draws.w, draws.dense)  # (A, N)
+    d_hat = -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
+    dot_y = eta @ like.y
+    # the Poisson means overwrite the eta buffer: no second (A, N) array
+    np.minimum(eta, ETA_CLIP, out=eta)
+    np.exp(eta, out=eta)
+    dbar = -2.0 * (float(np.mean(dot_y - eta @ like.exposure)) + like.loglik_const)
     p_d = dbar - d_hat
     return DicResult(dbar=dbar, d_hat=d_hat, p_d=p_d, dic=dbar + p_d)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .geodata import CovariateStack, DomainMask
-from .gmrf import LatticeMesh, MaternHyper, PcPriorSpec, SparsePrecision, pc_prior_logdensity
+from .gmrf import LatticeMesh, PcPriorSpec, SparsePrecision, pc_prior_logdensity
 
 __all__ = [
     "ModelSpec",
@@ -261,14 +261,4 @@ def log_prior(
         total += 0.5 * (factor.logdet - field_prec.n * LOG_2PI)
         total -= 0.5 * field_prec.quadform(eff.w)
         total += pc_prior_logdensity(field_prec.hyper, spec.pc_prior)
-    return total
-
-
-def hyper_log_prior_natural(spec: ModelSpec, hyper: MaternHyper | None, tau: float | None) -> float:
-    """Hyperparameter prior alone, natural scales (no latent terms)."""
-    total = 0.0
-    if spec.include_field:
-        total += pc_prior_logdensity(hyper, spec.pc_prior)
-    if spec.has_campaign_effects:
-        total += _gamma_logpdf(tau, spec.tau_shape, spec.tau_rate)
     return total

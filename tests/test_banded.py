@@ -113,12 +113,6 @@ class TestArrowFactor:
         ref = solve_triangular(u, z, lower=False)
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), ref, rtol=1e-9)
 
-    def test_dense_block_cov(self):
-        a, b, s, q, _ = self.make_blocks(seed=8)
-        arrow = _banded.ArrowFactor(_banded.from_sparse(a, 4), b, s)
-        ref = np.linalg.inv(q)[18:, 18:]
-        np.testing.assert_allclose(arrow.dense_block_cov(), ref, rtol=1e-8)
-
     def test_empty_dense_block(self):
         rng = np.random.default_rng(9)
         a = random_banded_spd(10, 2, rng)

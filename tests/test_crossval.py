@@ -156,7 +156,7 @@ class TestValidationResiduals:
             {1: np.full((4, 3), 1.0), 2: np.full((4, 2), -1.0)},
             {1: np.full((4, 3), 3.0), 2: np.full((4, 2), -3.0)},
         ]
-        tensor = ResidualTensor.from_folds(per_fold, partitions={})
+        tensor = ResidualTensor.from_folds(per_fold)
         assert tensor.tensors[1].shape == (4, 2, 3)
         assert tensor.tensors[2].shape == (4, 2, 2)
         # mean over 24 ones/threes and 16 minus-ones/minus-threes
@@ -171,32 +171,20 @@ class TestAggregation:
             1: rng.normal(0, 1, size=(50, 2, 3)),
             2: rng.normal(0, 2, size=(50, 2, 2)),
         }
-        return ResidualTensor(n_folds=2, tensors=tensors, partitions={})
+        return ResidualTensor(n_folds=2, tensors=tensors)
 
     def test_fold_average(self):
         tensor = self.make_tensor()
         by_campaign, overall = aggregate_crps(tensor)
-        arr = tensor.tensors[1]
-        manual = np.mean([crps_empirical(arr[:, k, 0], 0.0) for k in range(2)])
-        assert by_campaign[1][0] == pytest.approx(manual, rel=1e-12)
+        for t, arr in tensor.tensors.items():
+            for g in range(arr.shape[2]):
+                for method in ("sort", "pairwise"):
+                    manual = np.mean(
+                        [crps_empirical(arr[:, k, g], 0.0, method) for k in range(2)]
+                    )
+                    assert by_campaign[t][g] == pytest.approx(manual, rel=1e-12)
         flat = np.concatenate([by_campaign[1], by_campaign[2]])
         assert overall == pytest.approx(flat.mean(), rel=1e-12)
-
-    def test_area_weighting(self, campaign_domains):
-        d = campaign_domains[8]
-        partitions = build_partitions({1: d, 2: d}, 2, 2)
-        rng = np.random.default_rng(10)
-        g = partitions[1].n_subsets
-        tensors = {
-            1: rng.normal(size=(30, 2, g)),
-            2: rng.normal(size=(30, 2, g)),
-        }
-        tensor = ResidualTensor(n_folds=2, tensors=tensors, partitions=partitions)
-        by_campaign, overall = aggregate_crps(tensor, weights="area")
-        sizes = np.array([len(s) for s in partitions[1].subsets], dtype=float)
-        wts = np.concatenate([sizes, sizes])
-        flat = np.concatenate([by_campaign[1], by_campaign[2]])
-        assert overall == pytest.approx(float(flat @ wts / wts.sum()), rel=1e-12)
 
     def test_rank_models_ascending_with_ties(self):
         scores = {"m_b": 0.5, "m_a": 0.5, "m_c": 0.1}

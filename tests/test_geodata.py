@@ -8,7 +8,6 @@ from gridcox.geodata import (
     RasterGrid,
     RasterParseError,
     build_partition,
-    build_quadrature,
     habitat_domains,
     load_raster,
     read_campaign_domains,
@@ -211,31 +210,6 @@ class TestPartition:
         assert idx[0] == part.cell_subset[0, 0]
         assert idx[1] == part.cell_subset[3, 3]
         assert idx[2] == -1
-
-
-class TestQuadrature:
-    def test_weights_sum_to_area(self):
-        grid = make_grid(np.zeros((5, 5)), dx=2.0, dy=2.0)
-        inc = np.zeros((5, 5), dtype=bool)
-        inc[1:4, 1:4] = True
-        quad = build_quadrature(DomainMask(grid, inc))
-        assert quad.n_nodes == 9
-        assert quad.weights.sum() == pytest.approx(9 * 4.0)
-        assert quad.integrate(np.ones(9)) == pytest.approx(36.0)
-
-    def test_nodes_are_cell_centers(self):
-        grid = make_grid(np.zeros((2, 2)))
-        quad = build_quadrature(DomainMask(grid, np.ones((2, 2), dtype=bool)))
-        np.testing.assert_allclose(quad.nodes[0], [0.5, 0.5])
-        np.testing.assert_allclose(quad.nodes[-1], [1.5, 1.5])
-
-    def test_node_of_cell_map(self):
-        grid = make_grid(np.zeros((2, 2)))
-        inc = np.array([[False, True], [True, False]])
-        quad = build_quadrature(DomainMask(grid, inc))
-        lookup = quad.node_of_cell()
-        assert lookup[1] == 0 and lookup[2] == 1
-        assert lookup[0] == -1 and lookup[3] == -1
 
 
 class TestHabitatDomains:

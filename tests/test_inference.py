@@ -10,7 +10,6 @@ from gridcox.inference import (
     FitError,
     bin_points,
     compute_dic,
-    count_loglik,
     dense_design_matrix,
     fit,
     inner_objective_grad,
@@ -42,8 +41,9 @@ class TestBinPoints:
             pts = survey.for_campaign(t)
             cells = grid.cell_of_points(pts.x, pts.y)
             brute = np.bincount(cells, minlength=grid.n_cells)[like.designs[t].cell_ids]
-            np.testing.assert_array_equal(like.counts[t], brute)
-            assert like.counts[t].sum() == pts.n
+            np.testing.assert_array_equal(like.y[like.rows[t]], brute)
+            assert like.y[like.rows[t]].sum() == pts.n
+        assert like.y.size == sum(d.n_cells for d in like.designs.values())
 
     def test_stray_point_is_error(self, stack, campaign_domains):
         spec = glm_spec(campaigns=1)
@@ -56,14 +56,19 @@ class TestBinPoints:
         with pytest.raises(ValueError, match="outside the campaign domain"):
             bin_points(spec, stack, {1: campaign_domains[1]}, pts)
 
+    def test_campaign_label_out_of_range_is_error(self, stack, campaign_domains, survey):
+        # five points labelled campaign 2 in a one-campaign survey
+        pts = survey.for_campaign(1)
+        labels = np.ones(pts.n, dtype=int)
+        labels[:5] = 2
+        pts = PointPattern(pts.x, pts.y, labels)
+        with pytest.raises(ValueError, match="5 points have a campaign label outside 1..1"):
+            bin_points(glm_spec(campaigns=1), stack, {1: campaign_domains[1]}, pts)
+
     def test_exposure_is_cell_area(self, stack, campaign_domains, survey):
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
-        np.testing.assert_allclose(like.exposure[1], 100.0)
-        thinned = like.with_exposure_factor(0.8)
-        np.testing.assert_allclose(thinned.exposure[1], 80.0)
-        # original untouched
-        np.testing.assert_allclose(like.exposure[1], 100.0)
+        np.testing.assert_allclose(like.exposure, 100.0)
 
     def test_dense_design_matches_model_layout(self, stack, campaign_domains, survey):
         spec = ModelSpec(
@@ -79,11 +84,10 @@ class TestBinPoints:
         dense = rng.standard_normal(spec.n_dense)
         w = rng.standard_normal(mesh.n)
         eff = EffectVector.from_dense(spec, dense, w)
+        eta = like.eta(w, dense)
         for t in (1, 6, 9):
-            design = like.designs[t]
-            via_matrix = like.dense_design[t] @ dense + w[design.mesh_index]
-            via_model = log_intensity(spec, eff, design, t)
-            np.testing.assert_allclose(via_matrix, via_model, rtol=1e-12)
+            via_model = log_intensity(spec, eff, like.designs[t], t)
+            np.testing.assert_allclose(eta[like.rows[t]], via_model, rtol=1e-12)
 
 
 class TestGradient:
@@ -292,6 +296,30 @@ class TestDic:
         )
         assert dic_true.dic < dic_null.dic
 
+    def test_matches_per_draw_poisson_deviance(self, stack, campaign_domains, survey):
+        from scipy.stats import poisson
+
+        spec = glm_spec(covariates=("depth",), poceanica=True, campaigns=9)
+        like = bin_points(spec, stack, campaign_domains, survey)
+        draws = fit(like, n_draws=40, rng=np.random.default_rng(12))
+        res = compute_dic(like, draws)
+
+        def deviance(eff):
+            return -2.0 * sum(
+                poisson.logpmf(
+                    like.y[like.rows[t]],
+                    design.weight * np.exp(log_intensity(spec, eff, design, t)),
+                ).sum()
+                for t, design in like.designs.items()
+            )
+
+        dbar = np.mean([deviance(draws.effects_at(a)) for a in range(draws.n_draws)])
+        d_hat = deviance(draws.mean_effects())
+        assert res.dbar == pytest.approx(dbar, rel=1e-10)
+        assert res.d_hat == pytest.approx(d_hat, rel=1e-10)
+        assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-6)
+        assert res.dic == pytest.approx(2.0 * dbar - d_hat, rel=1e-10)
+
 
 class TestCountLoglik:
     def test_matches_scipy_poisson(self, stack, campaign_domains, survey):
@@ -300,9 +328,10 @@ class TestCountLoglik:
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
         rng = np.random.default_rng(11)
-        etas = {t: rng.normal(-6.0, 0.3, like.counts[t].size) for t in like.campaigns}
+        eta = rng.normal(-6.0, 0.3, like.y.size)
         manual = sum(
-            poisson.logpmf(like.counts[t], like.exposure[t] * np.exp(etas[t])).sum()
-            for t in like.campaigns
+            poisson.logpmf(like.y[like.rows[t]], design.weight * np.exp(eta[like.rows[t]])).sum()
+            for t, design in like.designs.items()
         )
-        assert count_loglik(like, etas) == pytest.approx(manual, rel=1e-10)
+        assert like.loglik(eta, with_const=True) == pytest.approx(manual, rel=1e-10)
+        assert like.loglik(eta) + like.loglik_const == pytest.approx(manual, rel=1e-10)
