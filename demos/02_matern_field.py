@@ -14,7 +14,6 @@ from gridcox import (
     PcPriorSpec,
     RasterGrid,
     build_precision,
-    pc_prior_logdensity,
     sample_field,
 )
 
@@ -41,7 +40,7 @@ def main() -> None:
     print(f"\npc prior: P(rho < 50) = {prior.rho_cdf(50.0):.3f}, "
           f"P(sigma > 1) = {prior.sigma_tail(1.0):.3f}")
     for sigma, rho in ((0.5, 60.0), (2.0, 15.0)):
-        ld = pc_prior_logdensity(MaternHyper(sigma, rho), prior)
+        ld = prior.logdensity(sigma, rho)
         print(f"  log density at sigma={sigma:.1f}, rho={rho:.0f}: {ld:+.2f}")
 
 

@@ -73,12 +73,13 @@ def main() -> None:
     print(f"\nDIC {dic.dic:.1f} (p_d {dic.p_d:.1f}, mean deviance {dic.dbar:.1f})")
 
     # factor the fitted intensity of the full-domain campaign
-    parts = decompose_intensity(spec, post.mean_effects(), like.designs[3], 3)
+    parts = decompose_intensity(spec, post.mean_effects(), like.design)
+    on_d = like.design.rows[3]
     for name in ("spatial", "campaign", "effort", "intensity"):
-        vals = parts[name]
+        vals = parts[name][on_d]
         print(f"{name:9s} factor: min {vals.min():.2e}  median "
               f"{np.median(vals):.2e}  max {vals.max():.2e}")
-    total = float(parts["intensity"].sum() * like.designs[3].weight)
+    total = float(parts["intensity"][on_d].sum() * like.design.weight)
     print(f"integrated fitted intensity on D: {total:.0f} "
           f"(realized count {survey.campaign_total(3)}, "
           f"conditional mean {expected_count(scn, survey.effects)[3]:.0f})")

@@ -127,18 +127,18 @@ def validation_residuals(
     unscaled exposures, so its intensity estimates the thinned training rate.
     Returns one (A, G_t) array per campaign.
     """
-    lam = like.eta(draws.w, draws.dense)
+    design = like.design
+    lam = design.eta(draws.dense, draws.w)
     np.exp(lam, out=lam)  # (A, N) intensity draws
     out: dict[int, np.ndarray] = {}
-    for t in like.campaigns:
-        design = like.designs[t]
+    for t, rows in design.rows.items():
         part = partitions[t]
-        g_of_cell = part.cell_subset.ravel()[design.cell_ids]
+        g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
         if np.any(g_of_cell < 0):
             raise ValueError(f"campaign {t}: partition does not cover the domain")
         n_g = part.n_subsets
-        member = np.zeros((design.n_cells, n_g))
-        member[np.arange(design.n_cells), g_of_cell] = 1.0
+        member = np.zeros((g_of_cell.size, n_g))
+        member[np.arange(g_of_cell.size), g_of_cell] = 1.0
 
         pts = val_points.for_campaign(t)
         g_of_point = part.subset_of_points(pts.x, pts.y)
@@ -146,7 +146,7 @@ def validation_residuals(
             raise ValueError(f"campaign {t}: validation points outside the partition")
         counts = np.bincount(g_of_point, minlength=n_g).astype(float)
 
-        integral = (lam[:, like.rows[t]] @ member) * (design.weight / (n_folds - 1))
+        integral = (lam[:, rows] @ member) * (design.weight / (n_folds - 1))
         out[t] = counts[None, :] - integral
     return out
 

@@ -246,6 +246,7 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 def read_legend(path) -> dict[int, str]:
     """Read a ``code,label`` CSV legend for a categorical raster."""
     legend: dict[int, str] = {}
+    line_of: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -255,8 +256,12 @@ def read_legend(path) -> dict[int, str]:
                 code = int(row[0])
             except (ValueError, IndexError):
                 raise RasterParseError(f"{path}: line {lineno}: bad legend code") from None
-            label = row[1].strip() if len(row) > 1 else str(code)
-            legend[code] = label
+            if code in line_of:
+                raise RasterParseError(
+                    f"{path}: line {lineno}: code {code} repeats line {line_of[code]}"
+                )
+            line_of[code] = lineno
+            legend[code] = row[1].strip() if len(row) > 1 else str(code)
     if not legend:
         raise RasterParseError(f"{path}: empty legend")
     return legend
@@ -556,6 +561,7 @@ def write_points(pattern: PointPattern, path) -> None:
 def read_campaign_domains(path) -> dict[int, str]:
     """Read a ``campaign,domain`` CSV mapping campaigns to D, D1 or D2."""
     out: dict[int, str] = {}
+    line_of: dict[int, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"campaign", "domain"} <= set(reader.fieldnames):
@@ -570,6 +576,11 @@ def read_campaign_domains(path) -> dict[int, str]:
                 raise ValueError(
                     f"{path}: line {lineno}: domain must be one of D, D1, D2"
                 )
+            if t in line_of:
+                raise ValueError(
+                    f"{path}: line {lineno}: campaign {t} repeats line {line_of[t]}"
+                )
+            line_of[t] = lineno
             out[t] = name
     if not out:
         raise ValueError(f"{path}: empty campaign map")

@@ -37,7 +37,6 @@ __all__ = [
     "lattice_variance_factor",
     "build_precision",
     "sample_field",
-    "pc_prior_logdensity",
 ]
 
 
@@ -102,11 +101,6 @@ class PcPriorSpec:
     def sigma_tail(self, sigma: float) -> float:
         """P(sd > sigma)."""
         return math.exp(-self.lam_sigma * sigma)
-
-
-def pc_prior_logdensity(hyper: MaternHyper, prior: PcPriorSpec) -> float:
-    """Joint log prior density of (sigma, rho) under the PC prior."""
-    return prior.logdensity(hyper.sigma, hyper.rho)
 
 
 def lattice_variance_factor(kappa: float, dx: float, dy: float) -> float:
@@ -200,15 +194,6 @@ class SparsePrecision:
     def n(self) -> int:
         return self.mesh.n
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _banded.matvec(self.ab, x)
-
-    def quadform(self, x: np.ndarray) -> float:
-        return _banded.quadform(self.ab, x)
-
-    def chol(self) -> _banded.BandedChol:
-        return _banded.BandedChol(self.ab)
-
     def dense_covariance(self) -> np.ndarray:
         """Full inverse; for small meshes (tests, diagnostics) only."""
         if self.n > 5000:
@@ -236,7 +221,7 @@ def sample_field(
     prec: SparsePrecision, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw zero-mean fields on the mesh; shape (n_draws, mesh.n)."""
-    factor = prec.chol()
+    factor = _banded.BandedChol(prec.ab)
     z = rng.standard_normal((prec.n, n_draws))
     draws = factor.solve_r(z)
     return np.ascontiguousarray(draws.T)

@@ -28,13 +28,7 @@ from scipy.special import gammaln
 from . import _banded
 from .geodata import CovariateStack, DomainMask, PointPattern
 from .gmrf import LatticeMesh, MaternHyper, build_precision
-from .model import (
-    CellDesign,
-    EffectVector,
-    ModelSpec,
-    _gamma_logpdf,
-    build_design,
-)
+from .model import CellDesign, EffectVector, ModelSpec, build_design
 
 __all__ = [
     "FitError",
@@ -59,6 +53,10 @@ class FitError(RuntimeError):
     pass
 
 
+def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
+    return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
+
+
 # ---------------------------------------------------------------------------
 # Likelihood assembly
 # ---------------------------------------------------------------------------
@@ -66,27 +64,19 @@ class FitError(RuntimeError):
 
 @dataclass
 class GriddedLikelihood:
-    """Cell counts and design of every campaign, stacked into one Poisson model.
+    """Cell counts of every campaign on the stacked cell design, one Poisson model.
 
-    The N rows are the cells of every campaign domain, campaign by campaign
-    in ``campaigns`` order; ``rows[t]`` is campaign t's slice of them. ``y``
-    holds the counts and ``exposure`` the quadrature weight alpha_q (the cell
-    area), so the Poisson mean of a row is exposure * exp(eta). ``x``
-    (N x n_dense) holds the columns multiplying the dense effects, in
-    ``spec.dense_names`` order, and ``mesh_index`` each row's mesh node
-    (empty for field-free models). ``designs[t]`` keeps campaign t's cell
-    ids and weight.
+    ``design`` stacks the cells of all campaign domains (see ``CellDesign``)
+    and computes their log-intensities; ``y`` holds the count of each of its
+    rows and ``exposure`` the row's quadrature weight alpha_q (the cell
+    area), so the Poisson mean of a row is exposure * exp(eta).
     """
 
     spec: ModelSpec
     mesh: LatticeMesh | None
-    campaigns: list[int]
-    designs: dict[int, CellDesign]
-    rows: dict[int, slice]
+    design: CellDesign
     y: np.ndarray
     exposure: np.ndarray
-    x: np.ndarray
-    mesh_index: np.ndarray
     n_points: int
 
     @property
@@ -102,14 +92,6 @@ class GriddedLikelihood:
         """Terms of the log-likelihood free of eta: sum y log alpha - log y!."""
         return float(self.y @ np.log(self.exposure) - gammaln(self.y + 1.0).sum())
 
-    def eta(self, w: np.ndarray, dense: np.ndarray) -> np.ndarray:
-        """Log-intensity of every row: (N,) for one effect vector, (A, N) for
-        draws stacked along the first axis."""
-        out = dense @ self.x.T
-        if self.n_mesh:
-            out += w[..., self.mesh_index]
-        return out
-
     def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
         """Expected count of every row at log-intensities ``eta``."""
         return self.exposure * np.exp(np.minimum(eta, ETA_CLIP))
@@ -121,21 +103,6 @@ class GriddedLikelihood:
         return total + self.loglik_const if with_const else total
 
 
-def dense_design_matrix(spec: ModelSpec, design: CellDesign, campaign: int) -> np.ndarray:
-    """Columns multiplying (mu0, beta, gamma, mu_t) at the design's cells."""
-    cols = [np.ones(design.n_cells)]
-    for j in range(design.x.shape[1]):
-        cols.append(design.x[:, j])
-    if spec.include_poceanica:
-        cols.append(design.z)
-    mat = np.column_stack(cols)
-    if spec.has_campaign_effects:
-        onehot = np.zeros((design.n_cells, spec.n_campaigns))
-        onehot[:, campaign - 1] = 1.0
-        mat = np.hstack([mat, onehot])
-    return mat
-
-
 def bin_points(
     spec: ModelSpec,
     stack: CovariateStack,
@@ -143,47 +110,38 @@ def bin_points(
     points: PointPattern,
     mesh: LatticeMesh | None = None,
 ) -> GriddedLikelihood:
-    """Reduce a point pattern to cell counts, stacked over campaigns.
+    """Reduce a point pattern to cell counts on the stacked cell design.
 
     Every point must fall in a cell of its campaign's domain; stray points
     (campaign label outside 1..T, outside the grid, on an unclassified cell,
     or in the wrong sub-domain) are a hard error rather than silently dropped.
     """
+    design = build_design(spec, stack, campaign_domains, mesh)
     n_t = spec.n_campaigns
-    if set(campaign_domains) != set(range(1, n_t + 1)):
-        raise ValueError("campaign domains must cover campaigns 1..T")
-    if spec.include_field and mesh is None:
-        raise ValueError("field models need a mesh")
     unlabelled = int(np.sum((points.campaign < 1) | (points.campaign > n_t)))
     if unlabelled:
         raise ValueError(f"{unlabelled} points have a campaign label outside 1..{n_t}")
     grid = stack.grid
-    campaigns = list(range(1, n_t + 1))
-    designs = {t: build_design(spec, stack, campaign_domains[t], mesh) for t in campaigns}
-    counts = []
-    for t, design in designs.items():
+    y = np.empty(design.n_cells)
+    for t, rows in design.rows.items():
         pts = points.for_campaign(t)
         cells = grid.cell_of_points(pts.x, pts.y)
+        ids = design.cell_ids[rows]
         node_of = np.full(grid.n_cells, -1, dtype=int)
-        node_of[design.cell_ids] = np.arange(design.n_cells)
+        node_of[ids] = np.arange(ids.size)
         node = np.where(cells >= 0, node_of[cells], -1)
         stray = int(np.sum(node < 0))
         if stray:
             raise ValueError(
                 f"campaign {t}: {stray} points fall outside the campaign domain"
             )
-        counts.append(np.bincount(node, minlength=design.n_cells).astype(float))
-    ends = np.cumsum([d.n_cells for d in designs.values()])
+        y[rows] = np.bincount(node, minlength=ids.size)
     return GriddedLikelihood(
         spec=spec,
         mesh=mesh if spec.include_field else None,
-        campaigns=campaigns,
-        designs=designs,
-        rows={t: slice(end - d.n_cells, end) for (t, d), end in zip(designs.items(), ends)},
-        y=np.concatenate(counts),
-        exposure=np.concatenate([np.full(d.n_cells, d.weight) for d in designs.values()]),
-        x=np.vstack([dense_design_matrix(spec, d, t) for t, d in designs.items()]),
-        mesh_index=np.concatenate([d.mesh_index for d in designs.values()]),
+        design=design,
+        y=y,
+        exposure=np.full(design.n_cells, design.weight),
         n_points=points.n,
     )
 
@@ -219,6 +177,7 @@ class _Inner:
 
     def __init__(self, like: GriddedLikelihood, field_ab: np.ndarray | None, tau: float | None):
         self.like = like
+        self.design = like.design
         self.spec = like.spec
         self.field_ab = field_ab
         self.n_w = like.n_mesh
@@ -237,28 +196,27 @@ class _Inner:
         return quad
 
     def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
-        return self.like.loglik(self.like.eta(u_w, u_d)) - 0.5 * self.prior_quad(u_w, u_d)
+        return self.like.loglik(self.design.eta(u_d, u_w)) - 0.5 * self.prior_quad(u_w, u_d)
 
     def gradient(self, u_w: np.ndarray, u_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        like = self.like
-        resid = like.y - like.poisson_mean(like.eta(u_w, u_d))
-        g_d = like.x.T @ resid - self.dense_prior * u_d
+        like, design = self.like, self.design
+        resid = like.y - like.poisson_mean(design.eta(u_d, u_w))
+        g_d = design.x.T @ resid - self.dense_prior * u_d
         g_w = np.zeros(0)
         if self.n_w:
-            g_w = np.bincount(like.mesh_index, weights=resid, minlength=self.n_w)
+            g_w = np.bincount(design.mesh_index, weights=resid, minlength=self.n_w)
             g_w -= _banded.matvec(self.field_ab, u_w)
         return g_w, g_d
 
     def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
         """Factor of the negated Hessian (prior precision + Poisson weights)."""
-        like = self.like
-        w = like.poisson_mean(like.eta(u_w, u_d))
-        s = np.diag(self.dense_prior) + (like.x * w[:, None]).T @ like.x
+        x, idx = self.design.x, self.design.mesh_index
+        w = self.like.poisson_mean(self.design.eta(u_d, u_w))
+        s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
         if not self.n_w:
             return _DenseFactor(s)
-        idx = like.mesh_index
         b = np.column_stack(
-            [np.bincount(idx, weights=w * like.x[:, j], minlength=self.n_w) for j in range(self.m)]
+            [np.bincount(idx, weights=w * x[:, j], minlength=self.n_w) for j in range(self.m)]
         )
         ab = self.field_ab.copy()
         ab[-1] += np.bincount(idx, weights=w, minlength=self.n_w)
@@ -407,7 +365,7 @@ class _Explorer:
         if self.spec.include_field:
             logdet_prior += _banded.BandedChol(ab).logdet
         lp = (
-            self.like.loglik(self.like.eta(u_w, u_d), with_const=True)
+            self.like.loglik(self.like.design.eta(u_d, u_w), with_const=True)
             - 0.5 * inner.prior_quad(u_w, u_d)
             + 0.5 * logdet_prior
             - 0.5 * factor.logdet
@@ -682,7 +640,7 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     deviance at the posterior-mean effects. The log-intensity is linear in
     the effects, so the plug-in deviance uses the mean of the eta draws.
     """
-    eta = like.eta(draws.w, draws.dense)  # (A, N)
+    eta = like.design.eta(draws.dense, draws.w)  # (A, N)
     d_hat = -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
     dot_y = eta @ like.y
     # the Poisson means overwrite the eta buffer: no second (A, N) array

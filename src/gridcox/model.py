@@ -1,4 +1,5 @@
-"""Model structure: which terms enter the log-intensity, and their priors.
+"""Model structure: which terms enter the log-intensity, their prior
+settings, and the stacked cell design that evaluates it.
 
 The log-intensity for campaign t at location s is
 
@@ -16,26 +17,20 @@ tau_rate) prior on the precision tau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geodata import CovariateStack, DomainMask
-from .gmrf import LatticeMesh, PcPriorSpec, SparsePrecision, pc_prior_logdensity
+from .gmrf import LatticeMesh, PcPriorSpec
 
 __all__ = [
     "ModelSpec",
     "EffectVector",
     "CellDesign",
     "build_design",
-    "log_intensity",
     "decompose_intensity",
-    "log_prior",
 ]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -139,126 +134,93 @@ class EffectVector:
 
 @dataclass(frozen=True)
 class CellDesign:
-    """Per-cell design pieces for one campaign domain.
+    """The cells of every campaign domain, stacked, and the one linear predictor.
 
-    ``x`` holds the covariate columns in ``spec.covariates`` order, ``z`` the
-    meadow indicator, ``mesh_index`` each cell's mesh node (empty when the
-    model has no field). ``weight`` is the cell area, the quadrature weight.
+    The N rows are the cells of each campaign's domain, campaign by campaign
+    in 1..T order; ``rows[t]`` is campaign t's slice of them. ``cell_ids``
+    holds each row's flat grid cell id and ``mesh_index`` its mesh node
+    (empty when the model has no field). ``weight`` is the cell area, the
+    quadrature weight of every row. ``x`` (N x n_dense) holds the columns
+    multiplying the dense effects, in ``spec.dense_names`` order: intercept,
+    covariates, meadow indicator z, campaign one-hot.
     """
 
     cell_ids: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
     mesh_index: np.ndarray
     weight: float
+    rows: dict[int, slice]
+    x: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return self.cell_ids.size
 
+    def eta(self, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """log lambda of every row: (N,) for one effect vector, (A, N) for
+        draws stacked along the first axis."""
+        out = dense @ self.x.T
+        if self.mesh_index.size:
+            out += w[..., self.mesh_index]
+        return out
+
 
 def build_design(
     spec: ModelSpec,
     stack: CovariateStack,
-    domain: DomainMask,
+    campaign_domains: dict[int, DomainMask],
     mesh: LatticeMesh | None,
 ) -> CellDesign:
-    """Assemble the design pieces for a campaign observed on ``domain``."""
-    cell_ids = domain.cell_ids
-    cols = [stack.values_at(name, cell_ids) for name in spec.covariates]
-    x = np.column_stack(cols) if cols else np.zeros((cell_ids.size, 0))
-    z = stack.z_at(cell_ids) if spec.include_poceanica else np.zeros(cell_ids.size)
-    if spec.include_field:
-        if mesh is None:
-            raise ValueError("field models need a mesh")
-        mesh_index = mesh.grid_to_mesh[cell_ids]
-    else:
-        mesh_index = np.zeros(0, dtype=int)
+    """Stack the cells of campaigns 1..T, each observed on its own domain."""
+    campaigns = range(1, spec.n_campaigns + 1)
+    if set(campaign_domains) != set(campaigns):
+        raise ValueError("campaign domains must cover campaigns 1..T")
+    if spec.include_field and mesh is None:
+        raise ValueError("field models need a mesh")
+    ids = [campaign_domains[t].cell_ids for t in campaigns]
+    ends = np.cumsum([c.size for c in ids])
+    rows = {t: slice(end - c.size, end) for t, c, end in zip(campaigns, ids, ends)}
+    cell_ids = np.concatenate(ids)
+
+    x = np.zeros((cell_ids.size, spec.n_dense))
+    x[:, 0] = 1.0
+    for j, name in enumerate(spec.covariates, start=1):
+        x[:, j] = stack.values_at(name, cell_ids)
+    pos = 1 + len(spec.covariates)
+    if spec.include_poceanica:
+        x[:, pos] = stack.z_at(cell_ids)
+        pos += 1
+    if spec.has_campaign_effects:
+        for t, r in rows.items():
+            x[r, pos + t - 1] = 1.0
+
+    mesh_index = mesh.grid_to_mesh[cell_ids] if spec.include_field else np.zeros(0, dtype=int)
     return CellDesign(
-        cell_ids=cell_ids, x=x, z=z, mesh_index=mesh_index, weight=domain.grid.cell_area
+        cell_ids=cell_ids,
+        mesh_index=mesh_index,
+        weight=stack.grid.cell_area,
+        rows=rows,
+        x=x,
     )
 
 
-def log_intensity(
-    spec: ModelSpec, eff: EffectVector, design: CellDesign, campaign: int
-) -> np.ndarray:
-    """log lambda_t at the design's cells for 1-based campaign ``campaign``."""
-    out = np.full(design.n_cells, eff.mu0)
-    if design.x.shape[1]:
-        out += design.x @ eff.beta
-    if spec.include_poceanica:
-        out += eff.gamma * design.z
-    if spec.include_field:
-        out += eff.w[design.mesh_index]
-    if spec.has_campaign_effects:
-        if not 1 <= campaign <= spec.n_campaigns:
-            raise ValueError(f"campaign {campaign} out of range")
-        out += eff.mu_t[campaign - 1]
-    return out
-
-
 def decompose_intensity(
-    spec: ModelSpec, eff: EffectVector, design: CellDesign, campaign: int
+    spec: ModelSpec, eff: EffectVector, design: CellDesign
 ) -> dict[str, np.ndarray]:
-    """Multiplicative factors of the intensity at the design's cells.
+    """Multiplicative factors of the intensity at every row of the design.
 
     Returns "spatial" exp(mu0 + x'beta + w), "campaign" exp(mu_t) and
     "effort" exp(gamma z); "intensity" is their product.
     """
-    spatial = np.full(design.n_cells, eff.mu0)
-    if design.x.shape[1]:
-        spatial += design.x @ eff.beta
-    if spec.include_field:
-        spatial += eff.w[design.mesh_index]
-    spatial = np.exp(spatial)
-    campaign_factor = (
-        math.exp(eff.mu_t[campaign - 1]) if spec.has_campaign_effects else 1.0
-    )
-    effort = np.exp(eff.gamma * design.z) if spec.include_poceanica else np.ones(design.n_cells)
-    return {
-        "spatial": spatial,
-        "campaign": np.full(design.n_cells, campaign_factor),
-        "effort": effort,
-        "intensity": spatial * campaign_factor * effort,
-    }
-
-
-def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
-    return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
-
-
-def log_prior(
-    spec: ModelSpec,
-    eff: EffectVector,
-    field_prec: SparsePrecision | None = None,
-    tau: float | None = None,
-) -> float:
-    """Joint log prior of effects and hyperparameters on their natural scales.
-
-    ``field_prec`` must be the precision built from the hyper setting being
-    evaluated; its (sigma, rho) get the PC prior. ``tau`` is the campaign
-    precision. Terms for absent effects are simply omitted.
-    """
-    total = 0.0
     dense = eff.pack_dense(spec)
-    n_fixed = 1 + len(spec.covariates) + (1 if spec.include_poceanica else 0)
-    fixed = dense[:n_fixed]
-    total += 0.5 * n_fixed * (math.log(spec.fixed_prec) - LOG_2PI)
-    total -= 0.5 * spec.fixed_prec * float(fixed @ fixed)
-
-    if spec.has_campaign_effects:
-        if tau is None:
-            raise ValueError("campaign models need the precision tau")
-        t = spec.n_campaigns
-        total += 0.5 * t * (math.log(tau) - LOG_2PI)
-        total -= 0.5 * tau * float(eff.mu_t @ eff.mu_t)
-        total += _gamma_logpdf(tau, spec.tau_shape, spec.tau_rate)
-
-    if spec.include_field:
-        if field_prec is None:
-            raise ValueError("field models need the field precision")
-        factor = field_prec.chol()
-        total += 0.5 * (factor.logdet - field_prec.n * LOG_2PI)
-        total -= 0.5 * field_prec.quadform(eff.w)
-        total += pc_prior_logdensity(field_prec.hyper, spec.pc_prior)
-    return total
+    names = spec.dense_names
+    effort = np.array([name == "gamma" for name in names])
+    campaign = np.array([name.startswith("mu[") for name in names])
+    spatial = ~(effort | campaign)
+    no_field = np.zeros_like(eff.w)
+    parts = {
+        "spatial": np.exp(design.eta(dense * spatial, eff.w)),
+        "campaign": np.exp(design.eta(dense * campaign, no_field)),
+        "effort": np.exp(design.eta(dense * effort, no_field)),
+    }
+    parts["intensity"] = parts["spatial"] * parts["campaign"] * parts["effort"]
+    return parts

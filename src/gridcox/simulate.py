@@ -11,13 +11,13 @@ seeded generator reproduces the survey exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geodata import CovariateStack, DomainMask, PointPattern
 from .gmrf import LatticeMesh, MaternHyper, build_precision, sample_field
-from .model import CellDesign, EffectVector, ModelSpec, build_design, log_intensity
+from .model import CellDesign, EffectVector, ModelSpec, build_design
 
 __all__ = ["Scenario", "SimulatedSurvey", "simulate_lgcp", "expected_count"]
 
@@ -63,12 +63,17 @@ class Scenario:
 
 @dataclass
 class SimulatedSurvey:
-    """A drawn survey plus the truth that generated it."""
+    """A drawn survey plus the truth that generated it.
+
+    ``design`` is the stacked cell design of all campaigns and
+    ``log_lambda`` (N,) the true log-intensity of each of its rows;
+    ``design.rows[t]`` slices campaign t out of both.
+    """
 
     points: PointPattern
     effects: EffectVector
-    designs: dict[int, CellDesign]
-    log_lambda: dict[int, np.ndarray] = field(repr=False)
+    design: CellDesign
+    log_lambda: np.ndarray = field(repr=False)
 
     def campaign_total(self, t: int) -> int:
         return int(np.sum(self.points.campaign == t))
@@ -98,19 +103,16 @@ def simulate_lgcp(scn: Scenario, rng: np.random.Generator) -> SimulatedSurvey:
     mesh = scn.build_mesh()
     eff = _draw_effects(scn, mesh, rng)
     grid = scn.stack.grid
-    designs: dict[int, CellDesign] = {}
-    log_lams: dict[int, np.ndarray] = {}
+    design = build_design(scn.spec, scn.stack, scn.campaign_domains, mesh)
+    log_lam = design.eta(eff.pack_dense(scn.spec), eff.w)
+    mean = np.exp(log_lam) * design.weight
     xs, ys, ts = [], [], []
-    for t in range(1, scn.spec.n_campaigns + 1):
-        design = build_design(scn.spec, scn.stack, scn.campaign_domains[t], mesh)
-        log_lam = log_intensity(scn.spec, eff, design, t)
-        designs[t] = design
-        log_lams[t] = log_lam
-        counts = rng.poisson(np.exp(log_lam) * design.weight)
+    for t, rows in design.rows.items():
+        counts = rng.poisson(mean[rows])
         n = int(counts.sum())
         if n == 0:
             continue
-        cells = np.repeat(design.cell_ids, counts)
+        cells = np.repeat(design.cell_ids[rows], counts)
         r, c = np.divmod(cells, grid.n_cols)
         xs.append(grid.origin_x + (c + rng.random(n)) * grid.cell_dx)
         ys.append(grid.origin_y + (r + rng.random(n)) * grid.cell_dy)
@@ -119,7 +121,7 @@ def simulate_lgcp(scn: Scenario, rng: np.random.Generator) -> SimulatedSurvey:
         points = PointPattern(np.concatenate(xs), np.concatenate(ys), np.concatenate(ts))
     else:
         points = PointPattern(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
-    return SimulatedSurvey(points=points, effects=eff, designs=designs, log_lambda=log_lams)
+    return SimulatedSurvey(points=points, effects=eff, design=design, log_lambda=log_lam)
 
 
 def expected_count(scn: Scenario, effects: EffectVector | None = None) -> dict[int, float]:
@@ -129,30 +131,26 @@ def expected_count(scn: Scenario, effects: EffectVector | None = None) -> dict[i
     Without, the marginal mean over the random field and campaign effects via
     the log-normal corrections exp(sigma^2 / 2) and exp(1 / (2 tau)).
     """
-    mesh = scn.build_mesh() if effects is None or scn.spec.include_field else None
-    out: dict[int, float] = {}
+    spec = scn.spec
+    mesh = scn.build_mesh()
+    design = build_design(spec, scn.stack, scn.campaign_domains, mesh)
     if effects is not None:
-        for t in range(1, scn.spec.n_campaigns + 1):
-            design = build_design(scn.spec, scn.stack, scn.campaign_domains[t], mesh)
-            out[t] = float(np.exp(log_intensity(scn.spec, effects, design, t)).sum() * design.weight)
-        return out
+        lam = np.exp(design.eta(effects.pack_dense(spec), effects.w))
+        return {t: float(lam[rows].sum() * design.weight) for t, rows in design.rows.items()}
 
-    field_corr = math.exp(scn.hyper.sigma**2 / 2.0) if scn.spec.include_field else 1.0
-    if scn.spec.has_campaign_effects and scn.mu_t is None:
-        campaign_corr = [math.exp(0.5 / scn.tau)] * scn.spec.n_campaigns
-    elif scn.spec.has_campaign_effects:
+    field_corr = math.exp(scn.hyper.sigma**2 / 2.0) if spec.include_field else 1.0
+    if spec.has_campaign_effects and scn.mu_t is None:
+        campaign_corr = [math.exp(0.5 / scn.tau)] * spec.n_campaigns
+    elif spec.has_campaign_effects:
         campaign_corr = [math.exp(m) for m in scn.mu_t]
     else:
         campaign_corr = [1.0]
-    base = EffectVector(
-        mu0=scn.mu0,
-        beta=np.asarray(scn.beta, dtype=float),
-        gamma=scn.gamma,
-        mu_t=np.zeros(scn.spec.n_campaigns if scn.spec.has_campaign_effects else 0),
-        w=np.zeros(mesh.n if scn.spec.include_field else 0),
+    base = replace(
+        EffectVector.zeros(spec, mesh.n if mesh is not None else 0),
+        mu0=scn.mu0, beta=np.asarray(scn.beta, dtype=float), gamma=scn.gamma,
     )
-    for t in range(1, scn.spec.n_campaigns + 1):
-        design = build_design(scn.spec, scn.stack, scn.campaign_domains[t], mesh)
-        fixed = float(np.exp(log_intensity(scn.spec, base, design, t)).sum() * design.weight)
-        out[t] = fixed * field_corr * campaign_corr[t - 1]
-    return out
+    lam = np.exp(design.eta(base.pack_dense(spec), base.w))
+    return {
+        t: float(lam[rows].sum() * design.weight) * field_corr * campaign_corr[t - 1]
+        for t, rows in design.rows.items()
+    }

@@ -106,6 +106,12 @@ class TestRasterIO:
         with pytest.raises(RasterParseError, match="line 1"):
             read_legend(path)
 
+    def test_legend_repeated_code(self, tmp_path):
+        path = tmp_path / "legend.csv"
+        path.write_text("1,Sandy\n2,P. oceanica\n1,Rock\n")
+        with pytest.raises(RasterParseError, match="line 3: code 1 repeats line 1"):
+            read_legend(path)
+
 
 class TestGridGeometry:
     def test_cell_centers(self):
@@ -257,6 +263,12 @@ class TestPointsIO:
         path = tmp_path / "map.csv"
         path.write_text("campaign,domain\n1,D9\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_campaign_domains(path)
+
+    def test_campaign_map_repeated_campaign(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("campaign,domain\n1,D\n2,D2\n1,D1\n")
+        with pytest.raises(ValueError, match="line 4: campaign 1 repeats line 2"):
             read_campaign_domains(path)
 
 

@@ -12,7 +12,6 @@ from gridcox.gmrf import (
     PcPriorSpec,
     build_precision,
     lattice_variance_factor,
-    pc_prior_logdensity,
     sample_field,
 )
 
@@ -56,12 +55,11 @@ class TestPcPrior:
         assert self.SPEC.sigma_tail(0.5) == pytest.approx(0.01, abs=1e-12)
 
     def test_logdensity_is_log_of_product(self):
-        h = MaternHyper(sigma=0.3, rho=30.0)
         lr, ls = self.SPEC.lam_rho, self.SPEC.lam_sigma
         expect = math.log(lr / 30.0**2 * math.exp(-lr / 30.0)) + math.log(
             ls * math.exp(-ls * 0.3)
         )
-        assert pc_prior_logdensity(h, self.SPEC) == pytest.approx(expect, rel=1e-12)
+        assert self.SPEC.logdensity(0.3, 30.0) == pytest.approx(expect, rel=1e-12)
 
     def test_density_normalizes(self):
         total, _ = quad(
@@ -149,8 +147,8 @@ class TestPrecision:
         q = build_precision(mesh, MaternHyper(1.0, 4.0))
         x = np.linspace(-1, 1, mesh.n)
         dense = np.linalg.inv(q.dense_covariance())
-        np.testing.assert_allclose(q.matvec(x), dense @ x, rtol=1e-8, atol=1e-10)
-        assert q.quadform(x) == pytest.approx(x @ dense @ x, rel=1e-8)
+        np.testing.assert_allclose(_banded.matvec(q.ab, x), dense @ x, rtol=1e-8, atol=1e-10)
+        assert _banded.quadform(q.ab, x) == pytest.approx(x @ dense @ x, rel=1e-8)
 
 
 class TestSampling:

@@ -6,16 +6,17 @@ from scipy.optimize import minimize
 
 from gridcox.geodata import PointPattern
 from gridcox.gmrf import LatticeMesh, MaternHyper, PcPriorSpec
+from gridcox import inference
 from gridcox.inference import (
     FitError,
+    _gamma_logpdf,
     bin_points,
     compute_dic,
-    dense_design_matrix,
     fit,
     inner_objective_grad,
     summarize,
 )
-from gridcox.model import EffectVector, ModelSpec, build_design, log_intensity
+from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
 
 PC = PcPriorSpec(rho0=50.0, p_rho=0.5, sigma0=0.5, p_sigma=0.01)
@@ -37,13 +38,13 @@ class TestBinPoints:
         like = bin_points(spec, stack, campaign_domains, survey)
         assert like.n_points == survey.n
         grid = stack.grid
-        for t in like.campaigns:
+        for t, rows in like.design.rows.items():
             pts = survey.for_campaign(t)
             cells = grid.cell_of_points(pts.x, pts.y)
-            brute = np.bincount(cells, minlength=grid.n_cells)[like.designs[t].cell_ids]
-            np.testing.assert_array_equal(like.y[like.rows[t]], brute)
-            assert like.y[like.rows[t]].sum() == pts.n
-        assert like.y.size == sum(d.n_cells for d in like.designs.values())
+            brute = np.bincount(cells, minlength=grid.n_cells)[campaign_domains[t].cell_ids]
+            np.testing.assert_array_equal(like.y[rows], brute)
+            assert like.y[rows].sum() == pts.n
+        assert like.y.size == sum(d.cell_ids.size for d in campaign_domains.values())
 
     def test_stray_point_is_error(self, stack, campaign_domains):
         spec = glm_spec(campaigns=1)
@@ -80,14 +81,20 @@ class TestBinPoints:
         )
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         like = bin_points(spec, stack, campaign_domains, survey, mesh=mesh)
-        rng = np.random.default_rng(0)
-        dense = rng.standard_normal(spec.n_dense)
-        w = rng.standard_normal(mesh.n)
-        eff = EffectVector.from_dense(spec, dense, w)
-        eta = like.eta(w, dense)
+        design = like.design
+        assert design.x.shape == (like.y.size, spec.n_dense)
         for t in (1, 6, 9):
-            via_model = log_intensity(spec, eff, like.designs[t], t)
-            np.testing.assert_allclose(eta[like.rows[t]], via_model, rtol=1e-12)
+            rows = design.rows[t]
+            cells = campaign_domains[t].cell_ids
+            onehot = np.zeros((cells.size, 9))
+            onehot[:, t - 1] = 1.0
+            expect = np.column_stack(
+                [np.ones(cells.size)]
+                + [stack.values_at(name, cells) for name in spec.covariates]
+                + [stack.z_at(cells), onehot]
+            )
+            np.testing.assert_array_equal(design.x[rows], expect)
+            np.testing.assert_array_equal(design.mesh_index[rows], mesh.grid_to_mesh[cells])
 
 
 class TestGradient:
@@ -237,7 +244,7 @@ class TestFieldFit:
 
     def test_field_mean_tracks_truth(self, field_fit):
         scn, survey, like, draws = field_fit
-        idx = like.designs[1].mesh_index
+        idx = like.design.mesh_index
         truth = survey.effects.w[idx]
         post = draws.w.mean(axis=0)[idx]
         corr = np.corrcoef(truth, post)[0, 1]
@@ -305,13 +312,18 @@ class TestDic:
         res = compute_dic(like, draws)
 
         def deviance(eff):
-            return -2.0 * sum(
-                poisson.logpmf(
-                    like.y[like.rows[t]],
-                    design.weight * np.exp(log_intensity(spec, eff, design, t)),
-                ).sum()
-                for t, design in like.designs.items()
-            )
+            total = 0.0
+            for t in range(1, 10):
+                cells = campaign_domains[t].cell_ids
+                eta = (
+                    eff.mu0
+                    + eff.beta[0] * stack.values_at("depth", cells)
+                    + eff.gamma * stack.z_at(cells)
+                    + eff.mu_t[t - 1]
+                )
+                y = like.y[like.design.rows[t]]
+                total += poisson.logpmf(y, stack.grid.cell_area * np.exp(eta)).sum()
+            return -2.0 * total
 
         dbar = np.mean([deviance(draws.effects_at(a)) for a in range(draws.n_draws)])
         d_hat = deviance(draws.mean_effects())
@@ -330,8 +342,45 @@ class TestCountLoglik:
         rng = np.random.default_rng(11)
         eta = rng.normal(-6.0, 0.3, like.y.size)
         manual = sum(
-            poisson.logpmf(like.y[like.rows[t]], design.weight * np.exp(eta[like.rows[t]])).sum()
-            for t, design in like.designs.items()
+            poisson.logpmf(like.y[rows], like.design.weight * np.exp(eta[rows])).sum()
+            for rows in like.design.rows.values()
         )
         assert like.loglik(eta, with_const=True) == pytest.approx(manual, rel=1e-10)
         assert like.loglik(eta) + like.loglik_const == pytest.approx(manual, rel=1e-10)
+
+
+class TestHyperPrior:
+    def test_gamma_logpdf_matches_scipy(self):
+        from scipy.stats import gamma as gamma_dist
+
+        for x, shape, rate in ((2.5, 1.0, 0.01), (0.3, 2.0, 4.0), (40.0, 0.5, 0.1)):
+            expect = gamma_dist.logpdf(x, a=shape, scale=1.0 / rate)
+            assert _gamma_logpdf(x, shape, rate) == pytest.approx(expect, rel=1e-12)
+
+
+class TestFailureModes:
+    def two_campaign_survey(self, survey, t1, t2):
+        pts = survey.take(np.isin(survey.campaign, [t1, t2]))
+        return PointPattern(pts.x, pts.y, np.where(pts.campaign == t2, 2, 1))
+
+    def test_theta_budget_exhaustion_is_fit_error(
+        self, stack, campaign_domains, survey, monkeypatch
+    ):
+        spec = glm_spec(campaigns=2)
+        doms = {1: campaign_domains[1], 2: campaign_domains[8]}
+        like = bin_points(spec, stack, doms, self.two_campaign_survey(survey, 1, 8))
+        monkeypatch.setattr(inference, "MAX_EXPLORE_EVALS", 2)
+        with pytest.raises(FitError, match="evaluation budget"):
+            fit(like, n_draws=50, rng=np.random.default_rng(0))
+
+    def test_campaign_with_no_points(self, stack, campaign_domains, survey):
+        # campaign 2 watches the same domain as campaign 1 but sees nothing
+        spec = glm_spec(campaigns=2)
+        d = campaign_domains[1]
+        pts = survey.for_campaign(1)
+        like = bin_points(spec, stack, {1: d, 2: d}, pts)
+        assert like.y[like.design.rows[2]].sum() == 0
+        draws = fit(like, n_draws=400, rng=np.random.default_rng(0))
+        summary = summarize(draws)
+        assert np.all(np.isfinite(summary.mean)) and np.all(np.isfinite(summary.sd))
+        assert summary.row("mu[2]")["mean"] < summary.row("mu[1]")["mean"]

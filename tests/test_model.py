@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridcox.gmrf import LatticeMesh, MaternHyper, PcPriorSpec, build_precision
-from gridcox.model import (
-    EffectVector,
-    ModelSpec,
-    build_design,
-    decompose_intensity,
-    log_intensity,
-    log_prior,
-)
+from gridcox.gmrf import LatticeMesh, PcPriorSpec
+from gridcox.model import EffectVector, ModelSpec, build_design, decompose_intensity
 
 PC = PcPriorSpec(rho0=50.0, p_rho=0.5, sigma0=0.5, p_sigma=0.01)
 
@@ -80,66 +73,86 @@ class TestDesignAndIntensity:
     def test_log_intensity_terms(self, stack, domains):
         d, d1, d2 = domains
         spec = full_spec()
+        doms = {t: (d, d1, d2)[t % 3] for t in range(1, 10)}
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
-        design = build_design(spec, stack, d, mesh)
+        design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(1)
         eff = EffectVector.from_dense(
             spec, rng.standard_normal(spec.n_dense), rng.standard_normal(mesh.n)
         )
-        got = log_intensity(spec, eff, design, campaign=3)
-        manual = (
-            eff.mu0
-            + design.x @ eff.beta
-            + eff.gamma * design.z
-            + eff.w[design.mesh_index]
-            + eff.mu_t[2]
-        )
-        np.testing.assert_allclose(got, manual, rtol=1e-12)
+        got = design.eta(eff.pack_dense(spec), eff.w)
+        assert got.shape == (sum(doms[t].cell_ids.size for t in doms),)
+        for t in (1, 3, 8):
+            cells = doms[t].cell_ids
+            manual = (
+                eff.mu0
+                + np.column_stack([stack.values_at(n, cells) for n in spec.covariates]) @ eff.beta
+                + eff.gamma * stack.z_at(cells)
+                + eff.w[mesh.grid_to_mesh[cells]]
+                + eff.mu_t[t - 1]
+            )
+            np.testing.assert_array_equal(design.cell_ids[design.rows[t]], cells)
+            np.testing.assert_allclose(got[design.rows[t]], manual, rtol=1e-12)
+
+    def test_eta_of_draws_matches_each_draw(self, stack, domains):
+        d, d1, _ = domains
+        spec = ModelSpec(covariates=("depth",), include_field=True, n_campaigns=2, pc_prior=PC)
+        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
+        design = build_design(spec, stack, {1: d, 2: d1}, mesh)
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((4, spec.n_dense))
+        w = rng.standard_normal((4, mesh.n))
+        stacked = design.eta(dense, w)
+        assert stacked.shape == (4, design.n_cells)
+        for a in range(4):
+            np.testing.assert_allclose(stacked[a], design.eta(dense[a], w[a]), rtol=1e-12)
 
     def test_z_is_meadow_indicator(self, stack, domains):
         d, d1, d2 = domains
         spec = full_spec()
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
-        design = build_design(spec, stack, d, mesh)
+        design = build_design(spec, stack, {t: d for t in range(1, 10)}, mesh)
+        z = design.x[:, spec.dense_names.index("gamma")]
         in_d1 = d1.included.ravel()[design.cell_ids]
-        np.testing.assert_array_equal(design.z.astype(bool), in_d1)
+        np.testing.assert_array_equal(z.astype(bool), in_d1)
 
     def test_campaign_out_of_range(self, stack, domains):
         d, _, _ = domains
         spec = full_spec()
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
-        design = build_design(spec, stack, d, mesh)
-        eff = EffectVector.zeros(spec, mesh.n)
+        doms = {t: d for t in range(1, 11)}
         with pytest.raises(ValueError, match="campaign"):
-            log_intensity(spec, eff, design, campaign=10)
+            build_design(spec, stack, doms, mesh)
 
     def test_decomposition_multiplies_back(self, stack, domains):
-        d, _, _ = domains
+        d, d1, _ = domains
         spec = full_spec()
+        doms = {t: (d, d1)[t % 2] for t in range(1, 10)}
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
-        design = build_design(spec, stack, d, mesh)
+        design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(2)
         eff = EffectVector.from_dense(
             spec, 0.1 * rng.standard_normal(spec.n_dense), 0.1 * rng.standard_normal(mesh.n)
         )
-        parts = decompose_intensity(spec, eff, design, campaign=7)
+        parts = decompose_intensity(spec, eff, design)
         np.testing.assert_allclose(
             parts["spatial"] * parts["campaign"] * parts["effort"],
             parts["intensity"],
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            np.log(parts["intensity"]), log_intensity(spec, eff, design, 7), rtol=1e-10
+            np.log(parts["intensity"]), design.eta(eff.pack_dense(spec), eff.w), rtol=1e-10
         )
+        np.testing.assert_allclose(parts["campaign"][design.rows[7]], math.exp(eff.mu_t[6]))
 
     def test_effort_factor_only_inside_meadow(self, stack, domains):
         d, d1, _ = domains
         spec = full_spec()
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
-        design = build_design(spec, stack, d, mesh)
+        design = build_design(spec, stack, {t: d for t in range(1, 10)}, mesh)
         eff = EffectVector.zeros(spec, mesh.n)
         eff.gamma = -0.4
-        parts = decompose_intensity(spec, eff, design, campaign=1)
+        parts = decompose_intensity(spec, eff, design)
         in_d1 = d1.included.ravel()[design.cell_ids]
         np.testing.assert_allclose(parts["effort"][in_d1], math.exp(-0.4))
         np.testing.assert_allclose(parts["effort"][~in_d1], 1.0)
@@ -147,62 +160,8 @@ class TestDesignAndIntensity:
     def test_field_free_model_needs_no_mesh(self, stack, domains):
         d, _, _ = domains
         spec = ModelSpec(covariates=("depth",), include_field=False, n_campaigns=2)
-        design = build_design(spec, stack, d, mesh=None)
+        design = build_design(spec, stack, {1: d, 2: d}, mesh=None)
         assert design.mesh_index.size == 0
         eff = EffectVector.zeros(spec)
-        out = log_intensity(spec, eff, design, campaign=1)
+        out = design.eta(eff.pack_dense(spec), eff.w)
         np.testing.assert_allclose(out, 0.0)
-
-
-class TestLogPrior:
-    def test_fixed_effects_gaussian(self):
-        spec = ModelSpec(covariates=("a",), include_poceanica=True, include_field=False)
-        eff = EffectVector(mu0=0.5, beta=np.array([-1.0]), gamma=2.0, mu_t=np.zeros(0), w=np.zeros(0))
-        got = log_prior(spec, eff)
-        prec = 0.001
-        vals = np.array([0.5, -1.0, 2.0])
-        expect = np.sum(0.5 * (np.log(prec) - np.log(2 * np.pi)) - 0.5 * prec * vals**2)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_campaign_block_and_gamma_prior(self):
-        spec = ModelSpec(covariates=(), include_poceanica=False, include_field=False, n_campaigns=3)
-        mu_t = np.array([0.2, -0.1, 0.4])
-        eff = EffectVector(mu0=0.0, beta=np.zeros(0), gamma=0.0, mu_t=mu_t, w=np.zeros(0))
-        tau = 2.5
-        got = log_prior(spec, eff, tau=tau)
-        from scipy.stats import gamma as gamma_dist, norm
-
-        expect = (
-            norm.logpdf(0.0, scale=math.sqrt(1 / 0.001))
-            + norm.logpdf(mu_t, scale=math.sqrt(1 / tau)).sum()
-            + gamma_dist.logpdf(tau, a=1.0, scale=1 / 0.01)
-        )
-        assert got == pytest.approx(expect, rel=1e-10)
-
-    def test_field_block_matches_multivariate_normal(self):
-        spec = ModelSpec(covariates=(), include_poceanica=False, include_field=True, pc_prior=PC)
-        mesh = LatticeMesh(3, 3, 1.0, 1.0, halo=1)
-        prec = build_precision(mesh, MaternHyper(sigma=1.0, rho=5.0))
-        rng = np.random.default_rng(3)
-        w = 0.5 * rng.standard_normal(mesh.n)
-        eff = EffectVector(mu0=0.3, beta=np.zeros(0), gamma=0.0, mu_t=np.zeros(0), w=w)
-        got = log_prior(spec, eff, field_prec=prec)
-        from scipy.stats import multivariate_normal, norm
-
-        cov = prec.dense_covariance()
-        expect = (
-            norm.logpdf(0.3, scale=math.sqrt(1 / 0.001))
-            + multivariate_normal.logpdf(w, mean=np.zeros(mesh.n), cov=cov)
-            + PC.logdensity(1.0, 5.0)
-        )
-        assert got == pytest.approx(expect, rel=1e-9)
-
-    def test_missing_hyper_raises(self):
-        spec = ModelSpec(include_field=True)
-        eff = EffectVector.zeros(spec, n_mesh=4)
-        with pytest.raises(ValueError, match="field"):
-            log_prior(spec, eff)
-        spec2 = ModelSpec(include_field=False, n_campaigns=2)
-        eff2 = EffectVector.zeros(spec2)
-        with pytest.raises(ValueError, match="tau"):
-            log_prior(spec2, eff2)

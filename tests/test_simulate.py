@@ -145,8 +145,9 @@ class TestFieldScenario:
         survey = simulate_lgcp(scn, np.random.default_rng(31))
         mesh = scn.build_mesh()
         assert survey.effects.w.shape == (mesh.n,)
-        assert 1 in survey.log_lambda
+        assert survey.log_lambda.shape == (d.cell_ids.size,)
+        np.testing.assert_array_equal(survey.design.cell_ids[survey.design.rows[1]], d.cell_ids)
         # conditional expected count from the returned truth matches log_lambda
         ec = expected_count(scn, effects=survey.effects)[1]
-        manual = float(np.exp(survey.log_lambda[1]).sum() * d.grid.cell_area)
+        manual = float(np.exp(survey.log_lambda).sum() * d.grid.cell_area)
         assert ec == pytest.approx(manual, rel=1e-9)
