@@ -47,7 +47,7 @@ def main() -> None:
 
     # coarsen a 5 m depth raster to the 10 m habitat resolution
     fine = RasterGrid(0.0, 0.0, 5.0, 5.0, np.add.outer(np.arange(40.0), np.arange(40.0)))
-    coarse = zonal_aggregate(fine, 10.0, "mean")
+    coarse = zonal_aggregate(fine, 10.0)
     print(f"zonal mean: {fine.n_rows}x{fine.n_cols} @5m -> "
           f"{coarse.n_rows}x{coarse.n_cols} @10m")
 

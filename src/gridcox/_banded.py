@@ -25,12 +25,6 @@ def from_sparse(a, bw: int) -> np.ndarray:
     return ab
 
 
-def eye_banded(n: int, bw: int) -> np.ndarray:
-    ab = np.zeros((bw + 1, n))
-    ab[bw] = 1.0
-    return ab
-
-
 def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for symmetric banded A."""
     return dsbmv(ab.shape[0] - 1, 1.0, ab, x)

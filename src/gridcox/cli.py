@@ -53,11 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossval import CrpsTable, build_partitions, derive_rng, run_study
+from .crossval import build_partitions, derive_rng, run_study
 from .geodata import (
     CovariateStack,
     DomainMask,
-    PointPattern,
     RasterGrid,
     campaign_masks,
     habitat_domains,
@@ -315,26 +314,19 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _atomic_write_rows(path: Path, header: list[str], rows) -> None:
-    """Write a CSV via a temp file so a crash never leaves a partial file."""
+def _atomic_write(path: Path, writer, *args) -> None:
+    """Run ``writer(*args, tmp)`` on a temp file, then rename it to ``path``,
+    so a crash never leaves a partial file."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    writer(*args, tmp)
+    os.replace(tmp, path)
+
+
+def _write_csv(header: list[str], rows, path: Path) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
-
-
-def _atomic_write_raster(grid: RasterGrid, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_raster(grid, tmp)
-    os.replace(tmp, path)
-
-
-def _atomic_write_points(pattern: PointPattern, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_points(pattern, tmp)
-    os.replace(tmp, path)
 
 
 def _field_raster(grid: RasterGrid, mesh: LatticeMesh, w: np.ndarray) -> RasterGrid:
@@ -396,7 +388,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     survey = simulate_lgcp(scn, derive_rng(cfg.seed, "simulate"))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_points(survey.points, cfg.out_dir / "points.csv")
+    _atomic_write(cfg.out_dir / "points.csv", write_points, survey.points)
     eff = survey.effects
     truth = [("mu0", _fmt(eff.mu0))]
     truth += [(f"beta.{name}", _fmt(b)) for name, b in zip(spec.covariates, eff.beta)]
@@ -406,10 +398,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         truth.append((f"mu[{t}]", _fmt(mu)))
     if spec.include_field:
         truth += [("sigma", _fmt(hyper.sigma)), ("rho", _fmt(hyper.rho))]
-    _atomic_write_rows(cfg.out_dir / "truth.csv", ["name", "value"], truth)
+    _atomic_write(cfg.out_dir / "truth.csv", _write_csv, ["name", "value"], truth)
     if spec.include_field:
         raster = _field_raster(stack.grid, scn.build_mesh(), eff.w)
-        _atomic_write_raster(raster, cfg.out_dir / "truth_field.asc")
+        _atomic_write(cfg.out_dir / "truth_field.asc", write_raster, raster)
 
     for t in sorted(domains):
         print(f"campaign {t}: {survey.campaign_total(t)} points")
@@ -444,14 +436,15 @@ def cmd_fit(cfg: RunConfig) -> int:
          _fmt(summary.q05[i]), _fmt(summary.q50[i]), _fmt(summary.q95[i]))
         for i, name in enumerate(summary.names)
     ]
-    _atomic_write_rows(
+    _atomic_write(
         cfg.out_dir / "posterior_summary.csv",
+        _write_csv,
         ["name", "mean", "sd", "q05", "q50", "q95"],
         rows,
     )
     if spec.include_field:
         raster = _field_raster(stack.grid, mesh, post.w.mean(axis=0))
-        _atomic_write_raster(raster, cfg.out_dir / "field_posterior_mean.asc")
+        _atomic_write(cfg.out_dir / "field_posterior_mean.asc", write_raster, raster)
 
     print(summary)
     print(f"DIC {dic.dic:.2f} (p_D {dic.p_d:.2f}) over {post.n_draws} draws")
@@ -493,8 +486,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
             (model_id, ";".join(spec.covariates), int(spec.include_poceanica),
              int(spec.include_field), crps, dic, p_d, status, detail)
         )
-    _atomic_write_rows(
+    _atomic_write(
         cfg.out_dir / "crps_by_model.csv",
+        _write_csv,
         ["model_id", "covariates", "poceanica", "field", "crps", "dic", "p_d", "status", "detail"],
         rows,
     )
@@ -513,8 +507,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
                     (t, g, _fmt(x0), _fmt(y0), _fmt(x1), _fmt(y1),
                      _fmt(resid[g]), _fmt(crps_g[g]))
                 )
-        _atomic_write_rows(
+        _atomic_write(
             cfg.out_dir / f"residual_map_{model_id}.csv",
+            _write_csv,
             ["campaign", "subset", "x_min", "y_min", "x_max", "y_max", "mean_residual", "crps"],
             map_rows,
         )
@@ -549,7 +544,7 @@ def cmd_rank(cfg: RunConfig) -> int:
         present = set(r["covariates"].split(";"))
         flags = [int(c in present) for c in all_covs]
         rows.append((rank, r["model_id"], *flags, r["poceanica"], r["field"], r["crps"], r["dic"]))
-    _atomic_write_rows(cfg.out_dir / "ranking.csv", header, rows)
+    _atomic_write(cfg.out_dir / "ranking.csv", _write_csv, header, rows)
 
     width = max([len("model"), *(len(r["model_id"]) for r in records)])
     cols = "  ".join(f"{c:>{max(3, len(c))}}" for c in [*all_covs, "poceanica", "field"])

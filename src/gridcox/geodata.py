@@ -398,20 +398,14 @@ def write_raster(grid: RasterGrid, path, nodata: float = -9999.0) -> None:
 # ---------------------------------------------------------------------------
 
 
-def zonal_aggregate(fine: RasterGrid, coarse_cell: float, reducer: str) -> RasterGrid:
+def zonal_aggregate(fine: RasterGrid, coarse_cell: float) -> RasterGrid:
     """Aggregate a fine raster onto a coarser grid with square cells.
 
-    ``reducer`` is "mean" for continuous rasters or "majority" for categorical
-    ones (modal code; ties break toward the smallest code). Fine cells are
-    assigned to the coarse cell containing their center. Zones with no valid
-    fine cells stay missing.
+    Continuous rasters take the zone mean, categorical ones the modal code
+    (ties break toward the smallest code). Fine cells are assigned to the
+    coarse cell containing their center. Zones with no valid fine cells stay
+    missing.
     """
-    if reducer not in ("mean", "majority"):
-        raise ValueError(f"unknown reducer {reducer!r}")
-    if fine.kind == CATEGORICAL and reducer != "majority":
-        raise ValueError("categorical rasters require the majority reducer")
-    if fine.kind == CONTINUOUS and reducer == "majority":
-        raise ValueError("majority reducer is only valid for categorical rasters")
     if coarse_cell < max(fine.cell_dx, fine.cell_dy):
         raise ValueError("coarse cell must be at least as large as the fine cell")
 
@@ -426,7 +420,7 @@ def zonal_aggregate(fine: RasterGrid, coarse_cell: float, reducer: str) -> Raste
     valid = np.isfinite(fine.values)
     zone_v = zone[valid]
     vals_v = fine.values[valid]
-    if reducer == "mean":
+    if fine.kind == CONTINUOUS:
         sums = np.bincount(zone_v, weights=vals_v, minlength=out.size)
         counts = np.bincount(zone_v, minlength=out.size)
         nz = counts > 0

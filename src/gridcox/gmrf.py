@@ -12,8 +12,11 @@ field, computed from its spectral density. Dividing by J makes sigma the
 exact stationary marginal standard deviation, not an approximation, so the
 usual boundary/continuum corrections are unnecessary away from the halo.
 
-Q is a polynomial in banded templates (I, G, G @ G), so rebuilding it for a
-new (sigma, rho) is a cheap linear combination.
+Q is a stencil: its non-zero upper diagonals (offsets 0, 1, 2, C - 1, C,
+C + 1, 2C on a lattice of C columns) combine the same diagonals of I, G and
+G @ G, and products with Q run on them. The 2-D DCT-II diagonalizes G
+(Strang, SIAM Rev. 1999), so log det Q has a closed form. The full banded
+layout is built only where a Cholesky needs it.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def lattice_variance_factor(kappa: float, dx: float, dy: float) -> float:
 
 
 class LatticeMesh:
-    """Raster grid plus a halo of padding cells; owns the banded templates."""
+    """Raster grid plus a halo of padding cells; owns the stencil templates."""
 
     def __init__(self, grid_rows: int, grid_cols: int, dx: float, dy: float, halo: int):
         if halo < 1:
@@ -157,55 +160,87 @@ class LatticeMesh:
 
     @cached_property
     def _stiffness(self) -> sp.csr_matrix:
-        a = self.dy / self.dx  # horizontal edge weight
-        b = self.dx / self.dy  # vertical edge weight
-        rows, cols, n = self.rows, self.cols, self.n
-        idx = np.arange(n)
-        right = idx[(idx % cols) != cols - 1]
-        up = idx[: n - cols]
-        i = np.concatenate([right, up])
-        j = np.concatenate([right + 1, up + cols])
-        w = np.concatenate([np.full(right.size, a), np.full(up.size, b)])
-        off = sp.coo_matrix((w, (i, j)), shape=(n, n))
-        off = off + off.T
-        deg = np.asarray(off.sum(axis=1)).ravel()
-        return (sp.diags(deg) - off).tocsr()
+        """G = a (I_R kron L_C) + b (L_R kron I_C), with L_k the path Laplacian
+        on k nodes and edge weights a = dy/dx (horizontal), b = dx/dy (vertical)."""
+
+        def path(k: int) -> sp.dia_matrix:
+            deg = np.full(k, 2.0)
+            deg[[0, -1]] = 1.0
+            return sp.diags([-1.0, deg, -1.0], [-1, 0, 1], shape=(k, k))
+
+        a, b = self.dy / self.dx, self.dx / self.dy
+        g = a * sp.kron(sp.identity(self.rows), path(self.cols))
+        return (g + b * sp.kron(path(self.rows), sp.identity(self.cols))).tocsr()
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Offsets of the non-zero upper diagonals of G @ G, ascending."""
+        c = self.cols
+        return np.unique([0, 1, 2, c - 1, c, c + 1, 2 * c])
 
     @cached_property
     def templates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, G, G @ G) in upper-banded storage at the full bandwidth."""
+        """(I, G, G @ G) as their upper diagonals at ``offsets``: row i of each
+        holds the diagonal at offset k = offsets[i], entry A[j - k, j] in column j."""
         g = self._stiffness
-        bw = self.bandwidth
-        ib = _banded.eye_banded(self.n, bw)
-        gb = _banded.from_sparse(g, bw)
-        g2b = _banded.from_sparse((g @ g).tocsr(), bw)
-        return ib, gb, g2b
+        mats = (sp.identity(self.n, format="csr"), g, g @ g)
+        return tuple(np.array([np.pad(a.diagonal(k), (k, 0)) for k in self.offsets]) for a in mats)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of G, 2a(1 - cos(pi j / C)) + 2b(1 - cos(pi k / R)) for
+        j < C, k < R, edge weights a = dy/dx and b = dx/dy (DCT-II basis)."""
+        a, b = self.dy / self.dx, self.dx / self.dy
+        lam_c = 2.0 * a * (1.0 - np.cos(np.pi * np.arange(self.cols) / self.cols))
+        lam_r = 2.0 * b * (1.0 - np.cos(np.pi * np.arange(self.rows) / self.rows))
+        return np.add.outer(lam_r, lam_c).ravel()
 
 
 @dataclass
 class SparsePrecision:
-    """Banded precision matrix of the field on a mesh, for one hyper setting."""
+    """Precision Q = scale * (kap2m I + G)^2 of the field on a mesh; ``diags``
+    holds its non-zero upper diagonals in the layout of ``LatticeMesh.templates``."""
 
     mesh: LatticeMesh
-    hyper: MaternHyper
-    ab: np.ndarray
+    scale: float
+    kap2m: float
+    diags: np.ndarray
 
     @property
     def n(self) -> int:
         return self.mesh.n
 
+    @property
+    def ab(self) -> np.ndarray:
+        """Q in full upper-banded storage (bandwidth 2C), as a new array."""
+        bw = self.mesh.bandwidth
+        ab = np.zeros((bw + 1, self.n))
+        ab[bw - self.mesh.offsets] = self.diags
+        return ab
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Q @ x, one pass over each non-zero diagonal."""
+        y = self.diags[0] * x
+        for k, d in zip(self.mesh.offsets[1:], self.diags[1:]):
+            y[:-k] += d[k:] * x[k:]
+            y[k:] += d[k:] * x[:-k]
+        return y
+
+    def quadform(self, x: np.ndarray) -> float:
+        """x.T @ Q @ x."""
+        return float(np.dot(x, self.matvec(x)))
+
+    @property
+    def logdet(self) -> float:
+        """log det Q = n log(scale) + 2 sum log(kap2m + eigenvalues of G)."""
+        lam = self.kap2m + self.mesh.spectrum
+        return self.n * math.log(self.scale) + 2.0 * float(np.sum(np.log(lam)))
+
     def dense_covariance(self) -> np.ndarray:
         """Full inverse; for small meshes (tests, diagnostics) only."""
         if self.n > 5000:
             raise ValueError("dense covariance requested for a large mesh")
-        dense = np.zeros((self.n, self.n))
-        bw = self.ab.shape[0] - 1
-        for k in range(bw + 1):
-            d = self.ab[bw - k, k:]
-            dense += np.diag(d, k)
-            if k:
-                dense += np.diag(d, -k)
-        return np.linalg.inv(dense)
+        return np.linalg.inv([self.matvec(e) for e in np.eye(self.n)])
 
 
 def build_precision(mesh: LatticeMesh, hyper: MaternHyper) -> SparsePrecision:
@@ -213,8 +248,8 @@ def build_precision(mesh: LatticeMesh, hyper: MaternHyper) -> SparsePrecision:
     ib, gb, g2b = mesh.templates
     kap2m = hyper.kappa**2 * mesh.dx * mesh.dy
     scale = lattice_variance_factor(hyper.kappa, mesh.dx, mesh.dy) / hyper.sigma**2
-    ab = scale * (kap2m**2 * ib + (2.0 * kap2m) * gb + g2b)
-    return SparsePrecision(mesh=mesh, hyper=hyper, ab=ab)
+    diags = scale * (kap2m**2 * ib + (2.0 * kap2m) * gb + g2b)
+    return SparsePrecision(mesh=mesh, scale=scale, kap2m=kap2m, diags=diags)
 
 
 def sample_field(

@@ -27,7 +27,7 @@ from scipy.special import gammaln
 
 from . import _banded
 from .geodata import CovariateStack, DomainMask, PointPattern
-from .gmrf import LatticeMesh, MaternHyper, build_precision
+from .gmrf import LatticeMesh, MaternHyper, SparsePrecision, build_precision
 from .model import CellDesign, EffectVector, ModelSpec, build_design
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 
 NEWTON_MAX_ITER = 50
 NEWTON_GRAD_TOL = 1e-6
+GRID_HALF_WIDTH = 1.65  # theta grid offset in posterior sds: central 90% of a Gaussian
 MAX_EXPLORE_EVALS = 150
 ETA_CLIP = 300.0  # keeps exp() finite during line search
 
@@ -175,11 +176,11 @@ class _DenseFactor:
 class _Inner:
     """Poisson likelihood plus Gaussian prior for one (sigma, rho, tau)."""
 
-    def __init__(self, like: GriddedLikelihood, field_ab: np.ndarray | None, tau: float | None):
+    def __init__(self, like: GriddedLikelihood, prec: SparsePrecision | None, tau: float | None):
         self.like = like
         self.design = like.design
         self.spec = like.spec
-        self.field_ab = field_ab
+        self.prec = prec
         self.n_w = like.n_mesh
         self.m = like.n_dense
         prior = np.full(self.m, self.spec.fixed_prec)
@@ -192,7 +193,7 @@ class _Inner:
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
         quad = float(np.dot(self.dense_prior * u_d, u_d))
         if self.n_w:
-            quad += _banded.quadform(self.field_ab, u_w)
+            quad += self.prec.quadform(u_w)
         return quad
 
     def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
@@ -205,7 +206,7 @@ class _Inner:
         g_w = np.zeros(0)
         if self.n_w:
             g_w = np.bincount(design.mesh_index, weights=resid, minlength=self.n_w)
-            g_w -= _banded.matvec(self.field_ab, u_w)
+            g_w -= self.prec.matvec(u_w)
         return g_w, g_d
 
     def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
@@ -218,7 +219,7 @@ class _Inner:
         b = np.column_stack(
             [np.bincount(idx, weights=w * x[:, j], minlength=self.n_w) for j in range(self.m)]
         )
-        ab = self.field_ab.copy()
+        ab = self.prec.ab
         ab[-1] += np.bincount(idx, weights=w, minlength=self.n_w)
         try:
             return _banded.ArrowFactor(ab, b, s)
@@ -230,16 +231,19 @@ class _Inner:
         u_w, u_d = u_w.copy(), u_d.copy()
         obj = self.objective(u_w, u_d)
         factor = None
-        for it in range(1, NEWTON_MAX_ITER + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             g_w, g_d = self.gradient(u_w, u_d)
-            gnorm = max(
-                float(np.max(np.abs(g_w))) if g_w.size else 0.0,
-                float(np.max(np.abs(g_d))) if g_d.size else 0.0,
-            )
+            gnorm = float(np.max(np.abs(np.concatenate([g_w, g_d])), initial=0.0))
             if gnorm < NEWTON_GRAD_TOL:
-                if factor is None:
+                # the factor of the previous step, except after the last one
+                if factor is None or it == NEWTON_MAX_ITER:
                     factor = self._hessian_factor(u_w, u_d)
-                return u_w, u_d, factor, it - 1
+                return u_w, u_d, factor, it
+            if it == NEWTON_MAX_ITER:
+                raise FitError(
+                    f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                    f"(gradient max-norm {gnorm:.3e})"
+                )
             factor = self._hessian_factor(u_w, u_d)
             step_w, step_d = factor.solve(g_w, g_d)
             scale = 1.0
@@ -255,21 +259,20 @@ class _Inner:
                 scale *= 0.5
             else:
                 raise FitError(
-                    f"Newton line search failed at iteration {it} "
+                    f"Newton line search failed at iteration {it + 1} "
                     f"(gradient max-norm {gnorm:.3e})"
                 )
             u_w, u_d, obj = new_w, new_d, new_obj
-        g_w, g_d = self.gradient(u_w, u_d)
-        gnorm = max(
-            float(np.max(np.abs(g_w))) if g_w.size else 0.0,
-            float(np.max(np.abs(g_d))) if g_d.size else 0.0,
-        )
-        if gnorm < NEWTON_GRAD_TOL:
-            return u_w, u_d, self._hessian_factor(u_w, u_d), NEWTON_MAX_ITER
-        raise FitError(
-            f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-            f"(gradient max-norm {gnorm:.3e})"
-        )
+
+
+def _inner_at(like: GriddedLikelihood, hyper: MaternHyper | None, tau: float | None) -> _Inner:
+    """The inner problem at one hyperparameter point, with its field precision."""
+    prec = None
+    if like.spec.include_field:
+        if hyper is None:
+            raise ValueError("field models need hyper")
+        prec = build_precision(like.mesh, hyper)
+    return _Inner(like, prec, tau)
 
 
 def inner_objective_grad(
@@ -285,12 +288,7 @@ def inner_objective_grad(
     kernel; the gradient is returned as one concatenated vector. Exposed for
     derivative checking.
     """
-    ab = None
-    if like.spec.include_field:
-        if hyper is None:
-            raise ValueError("field models need hyper")
-        ab = build_precision(like.mesh, hyper).ab
-    inner = _Inner(like, ab, tau)
+    inner = _inner_at(like, hyper, tau)
     obj = inner.objective(u_w, u_d)
     g_w, g_d = inner.gradient(u_w, u_d)
     return obj, np.concatenate([g_w, g_d])
@@ -323,28 +321,24 @@ class _Explorer:
         self.newton_iters = 0
 
     def _unpack(self, theta: np.ndarray):
-        pos = 0
-        hyper = None
-        tau = None
+        """(hyper, tau) from theta = (log sigma, log rho, log tau), each part if present."""
+        hyper = tau = None
         if self.spec.include_field:
             hyper = MaternHyper(sigma=math.exp(theta[0]), rho=math.exp(theta[1]))
-            pos = 2
         if self.spec.has_campaign_effects:
-            tau = math.exp(theta[pos])
+            tau = math.exp(theta[-1])
         return hyper, tau
 
     def _log_hyper_prior(self, theta: np.ndarray) -> float:
         """Prior on theta (log scales), including the change-of-variable terms."""
         hyper, tau = self._unpack(theta)
         total = 0.0
-        pos = 0
-        if self.spec.include_field:
+        if hyper is not None:
             total += self.spec.pc_prior.logdensity(hyper.sigma, hyper.rho)
             total += theta[0] + theta[1]
-            pos = 2
-        if self.spec.has_campaign_effects:
+        if tau is not None:
             total += _gamma_logpdf(tau, self.spec.tau_shape, self.spec.tau_rate)
-            total += theta[pos]
+            total += theta[-1]
         return total
 
     def evaluate(self, theta: np.ndarray) -> _ThetaPoint:
@@ -355,15 +349,13 @@ class _Explorer:
         if self.n_evals >= MAX_EXPLORE_EVALS:
             raise FitError("hyperparameter exploration exceeded its evaluation budget")
         self.n_evals += 1
-        hyper, tau = self._unpack(theta)
-        ab = build_precision(self.like.mesh, hyper).ab if self.spec.include_field else None
-        inner = _Inner(self.like, ab, tau)
+        inner = _inner_at(self.like, *self._unpack(theta))
         u_w, u_d, factor, iters = inner.newton(self.warm_w, self.warm_d)
         self.newton_iters += iters
         # Laplace: loglik + prior kernel + 0.5 logdet Q_prior - 0.5 logdet H
         logdet_prior = float(np.sum(np.log(inner.dense_prior)))
         if self.spec.include_field:
-            logdet_prior += _banded.BandedChol(ab).logdet
+            logdet_prior += inner.prec.logdet
         lp = (
             self.like.loglik(self.like.design.eta(u_d, u_w), with_const=True)
             - 0.5 * inner.prior_quad(u_w, u_d)
@@ -378,9 +370,7 @@ class _Explorer:
 
     def factor_at(self, point: _ThetaPoint):
         """Rebuild the Gaussian approximation's factor at a cached mode."""
-        hyper, tau = self._unpack(point.theta)
-        ab = build_precision(self.like.mesh, hyper).ab if self.spec.include_field else None
-        inner = _Inner(self.like, ab, tau)
+        inner = _inner_at(self.like, *self._unpack(point.theta))
         return inner._hessian_factor(point.u_w, point.u_d)
 
     def hill_climb(
@@ -476,14 +466,11 @@ def fit(
     n_draws: int = 1000,
     rng: np.random.Generator | None = None,
     theta_init: np.ndarray | None = None,
-    grid_half_width: float = 1.65,
 ) -> PosteriorDraws:
     """Fit the model and return posterior draws.
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
-    ``spec.hyper_names`` order). ``grid_half_width`` scales the integration
-    grid's offset in posterior-sd units; the default straddles the central
-    90% of a Gaussian profile.
+    ``spec.hyper_names`` order).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -493,7 +480,7 @@ def fit(
     h = len(spec.hyper_names)
 
     if h == 0:
-        inner = _Inner(like, None, None)
+        inner = _inner_at(like, None, None)
         u_w, u_d, factor, iters = inner.newton(np.zeros(0), np.zeros(spec.n_dense))
         z = rng.standard_normal((spec.n_dense, n_draws))
         _, x_d = factor.sample(np.zeros((0, n_draws)), z)
@@ -516,7 +503,7 @@ def fit(
         steps = (0.8, 0.4, 0.2, 0.1)
     mode = explorer.hill_climb(theta0, steps)
     sd = explorer.axis_scales(mode)
-    delta = grid_half_width * sd
+    delta = GRID_HALF_WIDTH * sd
 
     offsets = np.stack(
         np.meshgrid(*[np.array([-1.0, 0.0, 1.0])] * h, indexing="ij"), axis=-1

@@ -33,11 +33,6 @@ class TestBandedStorage:
         np.testing.assert_allclose(_banded.matvec(ab, x), a @ x, rtol=1e-12)
         assert _banded.quadform(ab, x) == pytest.approx(x @ a @ x, rel=1e-12)
 
-    def test_eye(self):
-        ab = _banded.eye_banded(5, 2)
-        x = np.arange(5.0)
-        np.testing.assert_allclose(_banded.matvec(ab, x), x)
-
 
 class TestBandedChol:
     def test_solve_and_logdet(self):

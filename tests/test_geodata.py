@@ -141,7 +141,7 @@ class TestGridGeometry:
 class TestZonalAggregate:
     def test_mean(self):
         fine = make_grid(np.arange(16, dtype=float).reshape(4, 4))
-        coarse = zonal_aggregate(fine, 2.0, "mean")
+        coarse = zonal_aggregate(fine, 2.0)
         assert coarse.values.shape == (2, 2)
         # south-west zone holds fine cells (0,0),(0,1),(1,0),(1,1) = 0,1,4,5
         assert coarse.values[0, 0] == pytest.approx(2.5)
@@ -149,34 +149,26 @@ class TestZonalAggregate:
     def test_mean_skips_missing(self):
         vals = np.arange(4, dtype=float).reshape(2, 2)
         vals[0, 0] = np.nan
-        coarse = zonal_aggregate(make_grid(vals), 2.0, "mean")
+        coarse = zonal_aggregate(make_grid(vals), 2.0)
         assert coarse.values[0, 0] == pytest.approx((1 + 2 + 3) / 3)
 
     def test_all_missing_zone_stays_missing(self):
         vals = np.full((2, 2), np.nan)
-        coarse = zonal_aggregate(make_grid(vals), 2.0, "mean")
+        coarse = zonal_aggregate(make_grid(vals), 2.0)
         assert np.isnan(coarse.values[0, 0])
 
     def test_majority_tie_breaks_to_smallest_code(self):
         vals = np.array([[1.0, 2.0], [2.0, 1.0]])
         legend = {1: "a", 2: "b"}
         fine = make_grid(vals, kind="categorical", legend=legend)
-        coarse = zonal_aggregate(fine, 2.0, "majority")
+        coarse = zonal_aggregate(fine, 2.0)
         assert coarse.values[0, 0] == 1.0
 
     def test_majority_counts(self):
         vals = np.array([[1.0, 2.0], [2.0, 2.0]])
         fine = make_grid(vals, kind="categorical", legend={1: "a", 2: "b"})
-        coarse = zonal_aggregate(fine, 2.0, "majority")
+        coarse = zonal_aggregate(fine, 2.0)
         assert coarse.values[0, 0] == 2.0
-
-    def test_reducer_kind_mismatch(self):
-        fine = make_grid(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            zonal_aggregate(fine, 2.0, "majority")
-        cat = make_grid(np.zeros((2, 2)), kind="categorical", legend={0: "a"})
-        with pytest.raises(ValueError):
-            zonal_aggregate(cat, 2.0, "mean")
 
 
 class TestPartition:

@@ -16,6 +16,21 @@ from gridcox.gmrf import (
 )
 
 
+def dense_stiffness(mesh):
+    """G assembled edge by edge: weight dy/dx across columns, dx/dy across rows."""
+    g = np.zeros((mesh.n, mesh.n))
+    for r in range(mesh.rows):
+        for c in range(mesh.cols):
+            i = r * mesh.cols + c
+            for dr, dc, w in ((0, 1, mesh.dy / mesh.dx), (1, 0, mesh.dx / mesh.dy)):
+                if r + dr < mesh.rows and c + dc < mesh.cols:
+                    j = i + dr * mesh.cols + dc
+                    g[i, j] = g[j, i] = -w
+                    g[i, i] += w
+                    g[j, j] += w
+    return g
+
+
 class TestHyper:
     def test_kappa(self):
         h = MaternHyper(sigma=1.0, rho=8.0)
@@ -92,6 +107,7 @@ class TestMesh:
     def test_stiffness_rows_sum_to_zero(self):
         mesh = LatticeMesh(3, 3, 2.0, 1.0, halo=1)
         g = mesh._stiffness.toarray()
+        np.testing.assert_allclose(g, dense_stiffness(mesh), rtol=1e-15)
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(g, g.T)
         # horizontal weight dy/dx = 0.5, vertical dx/dy = 2
@@ -149,6 +165,59 @@ class TestPrecision:
         dense = np.linalg.inv(q.dense_covariance())
         np.testing.assert_allclose(_banded.matvec(q.ab, x), dense @ x, rtol=1e-8, atol=1e-10)
         assert _banded.quadform(q.ab, x) == pytest.approx(x @ dense @ x, rel=1e-8)
+
+
+# (grid rows, grid cols, dx, dy, halo): square and non-square cells, halo 1-3;
+# the 1 x 1 grid gives C = 3 columns, where offsets 2 and C - 1 coincide
+STENCIL_MESHES = [
+    (1, 1, 1.0, 1.0, 1),
+    (3, 4, 1.0, 1.0, 2),
+    (4, 5, 2.0, 3.0, 1),
+    (5, 3, 1.5, 0.5, 3),
+    (2, 6, 10.0, 10.0, 3),
+]
+STENCIL_HYPERS = [(1.0, 4.0), (0.3, 25.0), (2.0, 1.5)]
+STENCIL_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("dims", STENCIL_MESHES)
+@pytest.mark.parametrize("sigma_rho", STENCIL_HYPERS)
+class TestStencil:
+    """The stencil and the closed-form log determinant against the banded oracle."""
+
+    def test_matvec_and_quadform_match_banded(self, dims, sigma_rho):
+        mesh = LatticeMesh(*dims)
+        q = build_precision(mesh, MaternHyper(*sigma_rho))
+        x = np.random.default_rng(3).standard_normal(mesh.n)
+        ref = _banded.matvec(q.ab, x)
+        err = np.max(np.abs(q.matvec(x) - ref)) / np.max(np.abs(ref))
+        assert err <= STENCIL_RTOL
+        assert q.quadform(x) == pytest.approx(_banded.quadform(q.ab, x), rel=STENCIL_RTOL)
+
+    def test_logdet_matches_cholesky(self, dims, sigma_rho):
+        mesh = LatticeMesh(*dims)
+        q = build_precision(mesh, MaternHyper(*sigma_rho))
+        ref = _banded.BandedChol(q.ab).logdet
+        assert q.logdet == pytest.approx(ref, rel=STENCIL_RTOL)
+
+
+@pytest.mark.parametrize("dims", STENCIL_MESHES)
+def test_spectrum_is_eigenvalues_of_dense_stiffness(dims):
+    mesh = LatticeMesh(*dims)
+    eig = np.linalg.eigvalsh(dense_stiffness(mesh))
+    np.testing.assert_allclose(np.sort(mesh.spectrum), eig, atol=1e-12 * eig.max())
+
+
+def test_square_cells_assemble_exactly():
+    # integer G and G @ G: the per-diagonal combination is the dense one, bit for bit
+    mesh = LatticeMesh(3, 4, 5.0, 5.0, halo=2)
+    h = MaternHyper(sigma=0.7, rho=12.0)
+    q = build_precision(mesh, h)
+    g = dense_stiffness(mesh)
+    kap2m = h.kappa**2 * mesh.dx * mesh.dy
+    scale = lattice_variance_factor(h.kappa, mesh.dx, mesh.dy) / h.sigma**2
+    dense = scale * (kap2m**2 * np.eye(mesh.n) + (2.0 * kap2m) * g + g @ g)
+    assert np.array_equal(q.ab, _banded.from_sparse(dense, mesh.bandwidth))
 
 
 class TestSampling:
