@@ -198,13 +198,12 @@ class LatticeMesh:
 
 @dataclass
 class SparsePrecision:
-    """Precision Q = scale * (kap2m I + G)^2 of the field on a mesh; ``diags``
-    holds its non-zero upper diagonals in the layout of ``LatticeMesh.templates``."""
+    """Precision Q of the field on a mesh: ``diags`` holds its non-zero upper
+    diagonals in the layout of ``LatticeMesh.templates``; ``logdet`` is log det Q."""
 
     mesh: LatticeMesh
-    scale: float
-    kap2m: float
     diags: np.ndarray
+    logdet: float
 
     @property
     def n(self) -> int:
@@ -230,12 +229,6 @@ class SparsePrecision:
         """x.T @ Q @ x."""
         return float(np.dot(x, self.matvec(x)))
 
-    @property
-    def logdet(self) -> float:
-        """log det Q = n log(scale) + 2 sum log(kap2m + eigenvalues of G)."""
-        lam = self.kap2m + self.mesh.spectrum
-        return self.n * math.log(self.scale) + 2.0 * float(np.sum(np.log(lam)))
-
     def dense_covariance(self) -> np.ndarray:
         """Full inverse; for small meshes (tests, diagnostics) only."""
         if self.n > 5000:
@@ -249,7 +242,9 @@ def build_precision(mesh: LatticeMesh, hyper: MaternHyper) -> SparsePrecision:
     kap2m = hyper.kappa**2 * mesh.dx * mesh.dy
     scale = lattice_variance_factor(hyper.kappa, mesh.dx, mesh.dy) / hyper.sigma**2
     diags = scale * (kap2m**2 * ib + (2.0 * kap2m) * gb + g2b)
-    return SparsePrecision(mesh=mesh, scale=scale, kap2m=kap2m, diags=diags)
+    # Q = scale (kap2m I + G)^2 shares G's eigenvectors
+    logdet = mesh.n * math.log(scale) + 2.0 * float(np.sum(np.log(kap2m + mesh.spectrum)))
+    return SparsePrecision(mesh=mesh, diags=diags, logdet=logdet)
 
 
 def sample_field(
