@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crossval import build_partitions, derive_rng, run_study
+from .crossval import derive_rng, rank_models, run_study
 from .geodata import (
     CovariateStack,
     DomainMask,
@@ -493,13 +493,12 @@ def cmd_crossval(cfg: RunConfig) -> int:
         rows,
     )
 
-    partitions = build_partitions(domains, *cfg.partition_dims)
     for model_id in table.model_ids:
         if model_id in table.failures:
             continue
         map_rows = []
-        for t in sorted(partitions):
-            boxes = partitions[t].subset_boxes
+        for t in sorted(table.partitions):
+            boxes = table.partitions[t].subset_boxes
             resid = table.mean_residual[model_id][t]
             crps_g = table.by_subset[model_id][t]
             for g, (x0, y0, x1, y1) in enumerate(boxes):
@@ -532,9 +531,12 @@ def cmd_rank(cfg: RunConfig) -> int:
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise UsageError(f"{path}: not a crossval score table")
         records = list(reader)
+    ids = [r["model_id"] for r in records]
+    if len(set(ids)) != len(ids):
+        raise UsageError(f"{path}: a model id appears more than once")
 
-    scored = [r for r in records if r["status"] == "ok"]
-    scored.sort(key=lambda r: (float(r["crps"]), r["model_id"]))
+    ok = {r["model_id"]: r for r in records if r["status"] == "ok"}
+    scored = [ok[m] for m in rank_models({m: float(r["crps"]) for m, r in ok.items()})]
     all_covs = sorted({c for r in records for c in r["covariates"].split(";") if c})
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,12 @@ Each observed point gets an independent uniform mark in 1..K; fold k trains
 on the unmarked points (intensity (K-1)/K of the original, still a Cox
 process) and validates on the marked ones (intensity 1/K). Raw residuals are
 computed per bounded subset of each campaign's domain: the observed validation
-count minus 1/(K-1) times the integrated posterior training intensity. Over
-posterior draws this yields an A x K x G_t residual tensor per campaign; the
-CRPS of each fold's residual ensemble against 0 is averaged over folds
-(one score per subset and campaign), then pooled into a single score per
-model. Lower is better.
+count minus 1/(K-1) times the integrated posterior training intensity. The
+subsets of all campaigns are stacked into G columns, campaign by campaign
+(``subset_slices``), so over posterior draws and folds a model's residuals
+are one A x K x G array. The CRPS of each fold's residual ensemble against 0
+is averaged over folds (one score per subset), then pooled into a single
+score per model. Lower is better.
 
 The study runner fits every (model, fold) pair in worker processes. Fold
 marks are drawn once per study; every task derives its own generator from
@@ -41,11 +42,11 @@ from .model import ModelSpec
 
 __all__ = [
     "FoldAssignment",
-    "ResidualTensor",
     "CrpsTable",
     "assign_folds",
     "split",
     "thin_intensity",
+    "subset_slices",
     "validation_residuals",
     "crps_empirical",
     "aggregate_crps",
@@ -113,25 +114,38 @@ def thin_intensity(lam, n_folds: int):
 # ---------------------------------------------------------------------------
 
 
+def subset_slices(partitions: dict[int, PartitionScheme]) -> dict[int, slice]:
+    """Each campaign's columns of the stacked subsets, campaigns in 1..T order."""
+    out: dict[int, slice] = {}
+    end = 0
+    for t in sorted(partitions):
+        out[t] = slice(end, end + partitions[t].n_subsets)
+        end = out[t].stop
+    return out
+
+
 def validation_residuals(
     draws: PosteriorDraws,
     like: GriddedLikelihood,
     partitions: dict[int, PartitionScheme],
     val_points: PointPattern,
     n_folds: int,
-) -> dict[int, np.ndarray]:
+) -> np.ndarray:
     """Raw residual draws for one fold: observed validation counts minus
     1/(K-1) times the integrated training-intensity draws, per subset.
 
     ``draws`` must come from a fit to the fold's training points with
     unscaled exposures, so its intensity estimates the thinned training rate.
-    Returns one (A, G_t) array per campaign.
+    Returns one (A, G) array over the stacked subsets of all campaigns;
+    ``subset_slices(partitions)[t]`` holds campaign t's columns.
     """
     design = like.design
     lam = design.eta(draws.dense, draws.w)
     np.exp(lam, out=lam)  # (A, N) intensity draws
-    out: dict[int, np.ndarray] = {}
-    for t, rows in design.rows.items():
+    cols = subset_slices(partitions)
+    out = np.empty((lam.shape[0], sum(part.n_subsets for part in partitions.values())))
+    for t, c in cols.items():
+        rows = design.rows[t]
         part = partitions[t]
         g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
         if np.any(g_of_cell < 0):
@@ -147,39 +161,8 @@ def validation_residuals(
         counts = np.bincount(g_of_point, minlength=n_g).astype(float)
 
         integral = (lam[:, rows] @ member) * (design.weight / (n_folds - 1))
-        out[t] = counts[None, :] - integral
+        out[:, c] = counts[None, :] - integral
     return out
-
-
-@dataclass
-class ResidualTensor:
-    """Per-campaign residual draws, shaped (A, K, G_t)."""
-
-    n_folds: int
-    tensors: dict[int, np.ndarray]
-
-    @classmethod
-    def from_folds(cls, per_fold: list[dict[int, np.ndarray]]) -> "ResidualTensor":
-        if not per_fold:
-            raise ValueError("no fold residuals given")
-        campaigns = sorted(per_fold[0])
-        tensors = {
-            t: np.stack([fold[t] for fold in per_fold], axis=1) for t in campaigns
-        }
-        return cls(n_folds=len(per_fold), tensors=tensors)
-
-    @property
-    def campaigns(self) -> list[int]:
-        return sorted(self.tensors)
-
-    def grand_mean(self) -> float:
-        """Mean residual over draws, folds, subsets and campaigns."""
-        total = 0.0
-        count = 0
-        for arr in self.tensors.values():
-            total += float(arr.sum())
-            count += arr.size
-        return total / count
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +193,20 @@ def crps_empirical(samples: np.ndarray, y: float = 0.0, method: str = "sort") ->
     raise ValueError(f"unknown method {method!r}")
 
 
-def aggregate_crps(tensor: ResidualTensor) -> tuple[dict[int, np.ndarray], float]:
-    """Fold-averaged CRPS per (subset, campaign), plus one pooled score.
+def aggregate_crps(resid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fold-averaged CRPS per subset, plus one pooled score.
 
-    Per subset g and campaign t the score is the mean over folds of the CRPS
-    of that fold's residual ensemble against 0 (``crps_empirical``'s sort
-    route, applied along the draw axis of every ensemble at once). Pooling
-    is an unweighted mean over all (g, t).
+    ``resid`` is (A, K, G): draws by folds by stacked subsets. Per subset g
+    the score is the mean over folds of the CRPS of that fold's residual
+    ensemble against 0 (``crps_empirical``'s sort route, applied along the
+    draw axis of every ensemble at once). Pooling is an unweighted mean over
+    all G subsets.
     """
-    by_campaign: dict[int, np.ndarray] = {}
-    for t in tensor.campaigns:
-        arr = tensor.tensors[t]  # (A, K, G)
-        a = arr.shape[0]
-        rank_coef = 2.0 * np.arange(a) - a + 1.0
-        gini = np.tensordot(rank_coef, np.sort(arr, axis=0), axes=(0, 0)) / (a * a)
-        by_campaign[t] = (np.abs(arr).mean(axis=0) - gini).mean(axis=0)
-    overall = float(np.concatenate(list(by_campaign.values())).mean())
-    return by_campaign, overall
+    a = resid.shape[0]
+    rank_coef = 2.0 * np.arange(a) - a + 1.0
+    gini = np.tensordot(rank_coef, np.sort(resid, axis=0), axes=(0, 0)) / (a * a)
+    by_subset = (np.abs(resid).mean(axis=0) - gini).mean(axis=0)
+    return by_subset, float(by_subset.mean())
 
 
 def rank_models(scores: dict[str, float]) -> list[str]:
@@ -238,9 +218,11 @@ def rank_models(scores: dict[str, float]) -> list[str]:
 class CrpsTable:
     """Cross-validation scores and in-sample DIC for a set of models.
 
-    Models that failed to fit appear in ``failures`` (model id to a list of
-    stage messages) and are absent from ``scores``; rankings cover the
-    scored models only.
+    ``by_subset`` and ``mean_residual`` hold, per model and campaign, the
+    CRPS and the mean residual of each subset of ``partitions[t]``. Models
+    that failed to fit appear in ``failures`` (model id to a list of stage
+    messages) and are absent from ``scores``; rankings cover the scored
+    models only.
     """
 
     model_ids: list[str]
@@ -249,6 +231,7 @@ class CrpsTable:
     mean_residual: dict[str, dict[int, np.ndarray]]
     dic: dict[str, DicResult]
     summaries: dict[str, FitSummary]
+    partitions: dict[int, PartitionScheme]
     n_folds: int
     n_draws: int
     failures: dict[str, list[str]] = field(default_factory=dict)
@@ -278,8 +261,7 @@ class _StudyPayload:
     campaign_domains: dict[int, DomainMask]
     points: PointPattern
     specs: list[ModelSpec]
-    marks: np.ndarray
-    n_folds: int
+    folds: FoldAssignment
     n_draws: int
     seed: int
     partitions: dict[int, PartitionScheme]
@@ -329,12 +311,11 @@ def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
     spec = p.specs[model_idx]
     try:
         mesh = _build_mesh(spec, p.stack)
-        folds = FoldAssignment(n_folds=p.n_folds, marks=p.marks)
-        train, val = split(p.points, folds, k)
+        train, val = split(p.points, p.folds, k)
         like = bin_points(spec, p.stack, p.campaign_domains, train, mesh=mesh)
         rng = derive_rng(p.seed, spec.model_id, "fold", k)
         draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init)
-        resid = validation_residuals(draws, like, p.partitions, val, p.n_folds)
+        resid = validation_residuals(draws, like, p.partitions, val, p.folds.n_folds)
     except Exception as e:
         if p.fail_fast:
             raise
@@ -381,15 +362,14 @@ def run_study(
     ids = [s.model_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids")
-    marks = assign_folds(points, n_folds, derive_rng(seed, "folds")).marks
+    folds = assign_folds(points, n_folds, derive_rng(seed, "folds"))
     partitions = build_partitions(campaign_domains, *partition_dims)
     payload = _StudyPayload(
         stack=stack,
         campaign_domains=campaign_domains,
         points=points,
         specs=specs,
-        marks=marks,
-        n_folds=n_folds,
+        folds=folds,
         n_draws=n_draws,
         seed=seed,
         partitions=partitions,
@@ -399,7 +379,7 @@ def run_study(
     dic: dict[str, DicResult] = {}
     summaries: dict[str, FitSummary] = {}
     failures: dict[str, list[str]] = {}
-    results: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+    results: dict[tuple[int, int], np.ndarray] = {}
     with ProcessPoolExecutor(
         max_workers=max(1, workers), mp_context=get_context("spawn"),
         initializer=_init_worker, initargs=(payload,),
@@ -428,20 +408,18 @@ def run_study(
             else:
                 results[(model_idx, k)] = resid
 
+    cols = subset_slices(partitions)
     scores: dict[str, float] = {}
     by_subset: dict[str, dict[int, np.ndarray]] = {}
     mean_residual: dict[str, dict[int, np.ndarray]] = {}
     for i, spec in enumerate(specs):
         if spec.model_id in failures:
             continue
-        per_fold = [results[(i, k)] for k in range(1, n_folds + 1)]
-        tensor = ResidualTensor.from_folds(per_fold)
-        by_campaign, overall = aggregate_crps(tensor)
-        scores[spec.model_id] = overall
-        by_subset[spec.model_id] = by_campaign
-        mean_residual[spec.model_id] = {
-            t: arr.mean(axis=(0, 1)) for t, arr in tensor.tensors.items()
-        }
+        resid = np.stack([results[(i, k)] for k in range(1, n_folds + 1)], axis=1)
+        crps_g, scores[spec.model_id] = aggregate_crps(resid)
+        mean_g = resid.mean(axis=(0, 1))
+        by_subset[spec.model_id] = {t: crps_g[c] for t, c in cols.items()}
+        mean_residual[spec.model_id] = {t: mean_g[c] for t, c in cols.items()}
     return CrpsTable(
         model_ids=ids,
         scores=scores,
@@ -449,6 +427,7 @@ def run_study(
         mean_residual=mean_residual,
         dic=dic,
         summaries=summaries,
+        partitions=partitions,
         n_folds=n_folds,
         n_draws=n_draws,
         failures=failures,

@@ -19,6 +19,7 @@ and draw the latent vector from the Gaussian approximation at that point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,16 +70,14 @@ class GriddedLikelihood:
 
     ``design`` stacks the cells of all campaign domains (see ``CellDesign``)
     and computes their log-intensities; ``y`` holds the count of each of its
-    rows and ``exposure`` the row's quadrature weight alpha_q (the cell
-    area), so the Poisson mean of a row is exposure * exp(eta).
+    rows. Every row has the same quadrature weight alpha = ``design.weight``
+    (the cell area), so the Poisson mean of a row is alpha * exp(eta).
     """
 
     spec: ModelSpec
     mesh: LatticeMesh | None
     design: CellDesign
     y: np.ndarray
-    exposure: np.ndarray
-    n_points: int
 
     @property
     def n_mesh(self) -> int:
@@ -91,11 +90,11 @@ class GriddedLikelihood:
     @property
     def loglik_const(self) -> float:
         """Terms of the log-likelihood free of eta: sum y log alpha - log y!."""
-        return float(self.y @ np.log(self.exposure) - gammaln(self.y + 1.0).sum())
+        return float(self.y.sum() * math.log(self.design.weight) - gammaln(self.y + 1.0).sum())
 
     def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
         """Expected count of every row at log-intensities ``eta``."""
-        return self.exposure * np.exp(np.minimum(eta, ETA_CLIP))
+        return self.design.weight * np.exp(np.minimum(eta, ETA_CLIP))
 
     def loglik(self, eta: np.ndarray, with_const: bool = False) -> float:
         """Poisson count log-likelihood at stacked log-intensities ``eta``;
@@ -142,8 +141,6 @@ def bin_points(
         mesh=mesh if spec.include_field else None,
         design=design,
         y=y,
-        exposure=np.full(design.n_cells, design.weight),
-        n_points=points.n,
     )
 
 
@@ -170,7 +167,7 @@ class _DenseFactor:
         return np.zeros(0), np.linalg.solve(self.ls.T, y)
 
     def sample(self, z_w, z_d):
-        return np.zeros(0), np.linalg.solve(self.ls.T, z_d)
+        return z_w, np.linalg.solve(self.ls.T, z_d)
 
 
 class _Inner:
@@ -478,23 +475,6 @@ def fit(
     n_w = like.n_mesh
     explorer = _Explorer(like, np.zeros(n_w), np.zeros(spec.n_dense))
     h = len(spec.hyper_names)
-
-    if h == 0:
-        inner = _inner_at(like, None, None)
-        u_w, u_d, factor, iters = inner.newton(np.zeros(0), np.zeros(spec.n_dense))
-        z = rng.standard_normal((spec.n_dense, n_draws))
-        _, x_d = factor.sample(np.zeros((0, n_draws)), z)
-        draws = u_d + x_d.T
-        return PosteriorDraws(
-            spec=spec,
-            mesh=like.mesh,
-            dense=draws,
-            w=np.zeros((n_draws, 0)),
-            log_hyper=np.zeros((n_draws, 0)),
-            theta_mode=np.zeros(0),
-            diagnostics={"n_evals": 1, "newton_iters": iters, "grid_points": 0},
-        )
-
     if theta_init is not None:
         theta0 = np.asarray(theta_init, dtype=float)
         steps = (0.4, 0.2, 0.1)  # trust a warm start; search locally
@@ -505,9 +485,8 @@ def fit(
     sd = explorer.axis_scales(mode)
     delta = GRID_HALF_WIDTH * sd
 
-    offsets = np.stack(
-        np.meshgrid(*[np.array([-1.0, 0.0, 1.0])] * h, indexing="ij"), axis=-1
-    ).reshape(-1, h)
+    # 3^h points; a model without hyperparameters has the mode as its grid
+    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=h)))
     points = [explorer.evaluate(mode.theta + off * delta) for off in offsets]
     log_w = np.array([p.log_post for p in points])
     weights = np.exp(log_w - log_w.max())
@@ -526,11 +505,8 @@ def fit(
         log_hyper[pos : pos + n_g] = point.theta + jitter
         z_w = rng.standard_normal((n_w, n_g))
         z_d = rng.standard_normal((spec.n_dense, n_g))
-        if n_w:
-            x_w, x_d = factor.sample(z_w, z_d)
-            w_draws[pos : pos + n_g] = (point.u_w[:, None] + x_w).T
-        else:
-            _, x_d = factor.sample(z_w, z_d)
+        x_w, x_d = factor.sample(z_w, z_d)
+        w_draws[pos : pos + n_g] = (point.u_w[:, None] + x_w).T
         dense[pos : pos + n_g] = (point.u_d[:, None] + x_d).T
         pos += n_g
 
@@ -630,9 +606,10 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     eta = like.design.eta(draws.dense, draws.w)  # (A, N)
     d_hat = -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
     dot_y = eta @ like.y
-    # the Poisson means overwrite the eta buffer: no second (A, N) array
+    # the intensities overwrite the eta buffer: no second (A, N) array
     np.minimum(eta, ETA_CLIP, out=eta)
     np.exp(eta, out=eta)
-    dbar = -2.0 * (float(np.mean(dot_y - eta @ like.exposure)) + like.loglik_const)
+    expected = like.design.weight * eta.sum(axis=1)  # total Poisson mean per draw
+    dbar = -2.0 * (float(np.mean(dot_y - expected)) + like.loglik_const)
     p_d = dbar - d_hat
     return DicResult(dbar=dbar, d_hat=d_hat, p_d=p_d, dic=dbar + p_d)

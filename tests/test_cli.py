@@ -320,6 +320,17 @@ class TestRank:
         ranked = read_csv(out / "ranking.csv")
         assert [r["model_id"] for r in ranked] == ["m_c", "m_a", "m_b"]
 
+    def test_repeated_model_id_is_usage_error(self, tmp_path, capsys):
+        build_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        header = "model_id,covariates,poceanica,field,crps,dic,p_d,status,detail\n"
+        (out / "crps_by_model.csv").write_text(
+            header + "m_a,,1,0,2.5,100,3,ok,\n" + "m_a,,1,0,1.5,101,3,ok,\n"
+        )
+        assert main(["rank", "--config", str(tmp_path / "run.ini")]) == 2
+        assert "more than once" in capsys.readouterr().err
+
 
 def test_module_entry_point(tmp_path):
     # python -m gridcox.cli mirrors the installed console script

@@ -5,7 +5,6 @@ import pytest
 
 from gridcox.crossval import (
     FoldAssignment,
-    ResidualTensor,
     aggregate_crps,
     assign_folds,
     build_partitions,
@@ -14,9 +13,11 @@ from gridcox.crossval import (
     rank_models,
     run_study,
     split,
+    subset_slices,
     thin_intensity,
     validation_residuals,
 )
+from gridcox.geodata import PointPattern
 from gridcox.inference import PosteriorDraws, bin_points
 from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
@@ -115,76 +116,96 @@ class TestCrps:
             crps_empirical(np.ones(3), 0.0, method="exact")
 
 
+def constant_intensity_draws(spec, lam, n_draws=3):
+    """Draws whose intensity is the constant ``lam`` in every cell."""
+    dense = np.zeros((n_draws, spec.n_dense))
+    dense[:, 0] = math.log(lam)  # the intercept; campaign effects stay 0
+    return PosteriorDraws(
+        spec=spec,
+        mesh=None,
+        dense=dense,
+        w=np.zeros((n_draws, 0)),
+        log_hyper=np.zeros((n_draws, 0)),
+        theta_mode=np.zeros(0),
+    )
+
+
+def constant_intensity_oracle(part, cell_area, val, lam, k_folds):
+    """Residual per subset under a constant training intensity: the integral
+    side is exact, lam * |B_g| / (K - 1)."""
+    g_of_point = part.subset_of_points(val.x, val.y)
+    return np.array(
+        [
+            np.sum(g_of_point == g) - lam * len(part.subsets[g]) * cell_area / (k_folds - 1)
+            for g in range(part.n_subsets)
+        ]
+    )
+
+
 class TestValidationResiduals:
     def test_constant_intensity_oracle(self, stack, campaign_domains, survey):
-        # with intensity draws equal to a known constant, the integral side
-        # of the residual is exact: lam * |B_g| / K
         spec = ModelSpec(include_poceanica=False, include_field=False, n_campaigns=1)
         d = campaign_domains[8]
         k_folds = 5
         pts = survey.for_campaign(8)
         pts = pts.take(np.argsort(pts.x, kind="stable"))
-        from gridcox.geodata import PointPattern
-
         pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
         folds = assign_folds(pts, k_folds, np.random.default_rng(8))
         train, val = split(pts, folds, 1)
         like = bin_points(spec, stack, {1: d}, train)
         lam_train = 0.002  # fitted training intensity, constant over cells
-        draws = PosteriorDraws(
-            spec=spec,
-            mesh=None,
-            dense=np.full((3, 1), math.log(lam_train)),
-            w=np.zeros((3, 0)),
-            log_hyper=np.zeros((3, 0)),
-            theta_mode=np.zeros(0),
-        )
         partitions = build_partitions({1: d}, 3, 3)
-        resid = validation_residuals(draws, like, partitions, val, k_folds)
-        assert set(resid) == {1}
-        arr = resid[1]
+        resid = validation_residuals(
+            constant_intensity_draws(spec, lam_train), like, partitions, val, k_folds
+        )
         part = partitions[1]
-        assert arr.shape == (3, part.n_subsets)
-        for g in range(part.n_subsets):
-            area_g = len(part.subsets[g]) * d.grid.cell_area
-            n_val_g = int(np.sum(part.subset_of_points(val.x, val.y) == g))
-            expect = n_val_g - lam_train * area_g / (k_folds - 1)
-            np.testing.assert_allclose(arr[:, g], expect, rtol=1e-12, atol=1e-12)
+        assert resid.shape == (3, part.n_subsets)
+        expect = constant_intensity_oracle(part, d.grid.cell_area, val, lam_train, k_folds)
+        np.testing.assert_allclose(resid, expect[None, :].repeat(3, 0), rtol=1e-12, atol=1e-12)
 
-    def test_residual_tensor_shapes_and_grand_mean(self):
-        per_fold = [
-            {1: np.full((4, 3), 1.0), 2: np.full((4, 2), -1.0)},
-            {1: np.full((4, 3), 3.0), 2: np.full((4, 2), -3.0)},
-        ]
-        tensor = ResidualTensor.from_folds(per_fold)
-        assert tensor.tensors[1].shape == (4, 2, 3)
-        assert tensor.tensors[2].shape == (4, 2, 2)
-        # mean over 24 ones/threes and 16 minus-ones/minus-threes
-        expect = (12 * 1 + 12 * 3 + 8 * -1 + 8 * -3) / 40
-        assert tensor.grand_mean() == pytest.approx(expect)
+    def test_two_campaigns_stack_their_subsets(self, stack, campaign_domains, survey):
+        # campaign 1 watches D2 and campaign 2 the full domain D: two
+        # different partitions, stacked campaign by campaign
+        spec = ModelSpec(include_poceanica=False, include_field=False, n_campaigns=2)
+        doms = {1: campaign_domains[1], 2: campaign_domains[8]}
+        pts = survey.take(np.isin(survey.campaign, [1, 8]))
+        pts = PointPattern(pts.x, pts.y, np.where(pts.campaign == 8, 2, 1))
+        k_folds = 4
+        folds = assign_folds(pts, k_folds, np.random.default_rng(10))
+        train, val = split(pts, folds, 2)
+        like = bin_points(spec, stack, doms, train)
+        partitions = build_partitions(doms, 3, 4)
+        assert partitions[1] is not partitions[2]
+        cols = subset_slices(partitions)
+        n1, n2 = partitions[1].n_subsets, partitions[2].n_subsets
+        assert cols == {1: slice(0, n1), 2: slice(n1, n1 + n2)}
+
+        lam_train = 0.003
+        draws = constant_intensity_draws(spec, lam_train, n_draws=4)
+        resid = validation_residuals(draws, like, partitions, val, k_folds)
+        assert resid.shape == (4, n1 + n2)
+        for t in (1, 2):
+            expect = constant_intensity_oracle(
+                partitions[t], stack.grid.cell_area, val.for_campaign(t), lam_train, k_folds
+            )
+            np.testing.assert_allclose(
+                resid[:, cols[t]], expect[None, :].repeat(4, 0), rtol=1e-12, atol=1e-12
+            )
 
 
 class TestAggregation:
-    def make_tensor(self):
-        rng = np.random.default_rng(9)
-        tensors = {
-            1: rng.normal(0, 1, size=(50, 2, 3)),
-            2: rng.normal(0, 2, size=(50, 2, 2)),
-        }
-        return ResidualTensor(n_folds=2, tensors=tensors)
-
     def test_fold_average(self):
-        tensor = self.make_tensor()
-        by_campaign, overall = aggregate_crps(tensor)
-        for t, arr in tensor.tensors.items():
-            for g in range(arr.shape[2]):
-                for method in ("sort", "pairwise"):
-                    manual = np.mean(
-                        [crps_empirical(arr[:, k, g], 0.0, method) for k in range(2)]
-                    )
-                    assert by_campaign[t][g] == pytest.approx(manual, rel=1e-12)
-        flat = np.concatenate([by_campaign[1], by_campaign[2]])
-        assert overall == pytest.approx(flat.mean(), rel=1e-12)
+        rng = np.random.default_rng(9)
+        resid = rng.normal(0, 1, size=(50, 3, 5)) * np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+        by_subset, overall = aggregate_crps(resid)
+        assert by_subset.shape == (5,)
+        for g in range(5):
+            for method in ("sort", "pairwise"):
+                manual = np.mean(
+                    [crps_empirical(resid[:, k, g], 0.0, method) for k in range(3)]
+                )
+                assert by_subset[g] == pytest.approx(manual, rel=1e-12)
+        assert overall == pytest.approx(by_subset.mean(), rel=1e-12)
 
     def test_rank_models_ascending_with_ties(self):
         scores = {"m_b": 0.5, "m_a": 0.5, "m_c": 0.1}
@@ -230,6 +251,19 @@ class TestRunStudy:
         assert set(table.dic) == {"m_depth", "m_null"}
         assert table.dic["m_depth"].dic < table.dic["m_null"].dic
         assert "mu0" in table.summaries["m_depth"].names
+
+    def test_fit_failure_raises_unless_recorded(self, study_inputs):
+        stack, doms, points, specs = study_inputs
+        bad = ModelSpec(
+            covariates=("nope",), include_poceanica=False, include_field=False,
+            n_campaigns=1, model_id="m_bad",
+        )
+        kwargs = dict(n_folds=2, n_draws=20, partition_dims=(3, 3), seed=13, workers=1)
+        with pytest.raises(KeyError, match="unknown covariate 'nope'"):
+            run_study(stack, doms, points, [specs[1], bad], **kwargs)
+        table = run_study(stack, doms, points, [specs[1], bad], fail_fast=False, **kwargs)
+        assert table.failures == {"m_bad": ["full fit: KeyError: \"unknown covariate 'nope'\""]}
+        assert set(table.scores) == {"m_null"}
 
     def test_worker_count_does_not_change_results(self, study_inputs):
         stack, doms, points, specs = study_inputs

@@ -36,7 +36,7 @@ class TestBinPoints:
     def test_counts_match_brute_force(self, stack, campaign_domains, survey):
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
-        assert like.n_points == survey.n
+        assert like.y.sum() == survey.n
         grid = stack.grid
         for t, rows in like.design.rows.items():
             pts = survey.for_campaign(t)
@@ -66,10 +66,19 @@ class TestBinPoints:
         with pytest.raises(ValueError, match="5 points have a campaign label outside 1..1"):
             bin_points(glm_spec(campaigns=1), stack, {1: campaign_domains[1]}, pts)
 
+    def test_point_on_upper_grid_edge_is_error(self, stack, campaign_domains):
+        # cells are half-open: x == origin_x + n_cols * dx lies off the grid
+        grid = stack.grid
+        x = grid.origin_x + grid.n_cols * grid.cell_dx
+        y = grid.origin_y + 0.5 * grid.cell_dy
+        pts = PointPattern(np.array([x]), np.array([y]), np.array([1]))
+        with pytest.raises(ValueError, match="1 points fall outside the campaign domain"):
+            bin_points(glm_spec(campaigns=1), stack, {1: campaign_domains[8]}, pts)
+
     def test_exposure_is_cell_area(self, stack, campaign_domains, survey):
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
-        np.testing.assert_allclose(like.exposure, 100.0)
+        assert like.design.weight == 100
 
     def test_dense_design_matches_model_layout(self, stack, campaign_domains, survey):
         spec = ModelSpec(
@@ -163,6 +172,37 @@ class TestGlmFits:
         draws = fit(like, n_draws=2000, rng=np.random.default_rng(0))
         target = math.log(survey.points.n / d.area)
         assert draws.effect_draws("mu0").mean() == pytest.approx(target, abs=0.05)
+
+    def test_no_hyperparameters_sample_the_mode_point(self, stack, campaign_domains):
+        # h = 0: the theta grid is the single mode point, and the intercept
+        # draws come from the Gaussian at the latent mode, whose precision is
+        # weight * sum exp(eta_hat) + fixed_prec
+        from scipy.optimize import brentq
+
+        d = campaign_domains[8]
+        spec = glm_spec()
+        scn = Scenario(
+            stack=stack, campaign_domains={1: d}, spec=spec,
+            mu0=math.log(400.0 / d.area),
+        )
+        survey = simulate_lgcp(scn, np.random.default_rng(42))
+        like = bin_points(spec, stack, {1: d}, survey.points)
+        n_draws = 4000
+        draws = fit(like, n_draws=n_draws, rng=np.random.default_rng(0))
+        assert draws.diagnostics["grid_points"] == 1
+        assert draws.diagnostics["n_evals"] == 1
+        assert draws.theta_mode.shape == (0,)
+        assert draws.w.shape == (n_draws, 0) and draws.log_hyper.shape == (n_draws, 0)
+
+        alpha, n_cells, y_total = like.design.weight, like.y.size, like.y.sum()
+        mode = brentq(
+            lambda m: y_total - alpha * n_cells * math.exp(m) - spec.fixed_prec * m, -20.0, 0.0
+        )
+        sd = 1.0 / math.sqrt(alpha * n_cells * math.exp(mode) + spec.fixed_prec)
+        mu0 = draws.effect_draws("mu0")
+        # Monte Carlo error of a 4000-draw sd is about 1.1%; of the mean, sd / 63
+        assert mu0.std(ddof=1) == pytest.approx(sd, rel=0.05)
+        assert mu0.mean() == pytest.approx(mode, abs=4.0 * sd / math.sqrt(n_draws))
 
     def test_mode_matches_generic_optimizer(self, stack, campaign_domains, survey):
         # dual route: same penalized likelihood through scipy's BFGS
