@@ -40,7 +40,6 @@ class BandedChol:
 
     def __init__(self, ab: np.ndarray):
         self.factor = cholesky_banded(ab, lower=False)
-        self.n = ab.shape[1]
         self._tbtrs, = get_lapack_funcs(("tbtrs",), (self.factor,))
 
     @property
@@ -81,39 +80,23 @@ class ArrowFactor:
         if b_dense.shape != (a_banded.shape[1], m):
             raise ValueError("border block has the wrong shape")
         self.rw = BandedChol(a_banded)
-        self.n = self.rw.n
-        self.m = m
-        if m:
-            self.x = self.rw.solve_rt(b_dense)
-            schur = s_dense - self.x.T @ self.x
-            self.ls = np.linalg.cholesky(schur)
-        else:
-            self.x = np.zeros((self.n, 0))
-            self.ls = np.zeros((0, 0))
+        self.x = self.rw.solve_rt(b_dense)
+        self.ls = np.linalg.cholesky(s_dense - self.x.T @ self.x)
 
     @property
     def logdet(self) -> float:
-        ld = self.rw.logdet
-        if self.m:
-            ld += 2.0 * float(np.sum(np.log(np.diag(self.ls))))
-        return ld
+        return self.rw.logdet + 2.0 * float(np.sum(np.log(np.diag(self.ls))))
 
     def solve(self, b_w: np.ndarray, b_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve Q @ (x_w, x_d) = (b_w, b_d)."""
         y_w = self.rw.solve_rt(b_w)
-        if self.m:
-            y_d = np.linalg.solve(self.ls, b_d - self.x.T @ y_w)
-            x_d = np.linalg.solve(self.ls.T, y_d)
-        else:
-            x_d = np.zeros(0)
+        y_d = np.linalg.solve(self.ls, b_d - self.x.T @ y_w)
+        x_d = np.linalg.solve(self.ls.T, y_d)
         x_w = self.rw.solve_r(y_w - self.x @ x_d)
         return x_w, x_d
 
     def sample(self, z_w: np.ndarray, z_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map standard normals to a draw from N(0, Q^{-1}): solve U x = z."""
-        if self.m:
-            x_d = np.linalg.solve(self.ls.T, z_d)
-        else:
-            x_d = np.zeros(0)
+        x_d = np.linalg.solve(self.ls.T, z_d)
         x_w = self.rw.solve_r(z_w - self.x @ x_d)
         return x_w, x_d

@@ -12,8 +12,9 @@ are one A x K x G array. The CRPS of each fold's residual ensemble against 0
 is averaged over folds (one score per subset), then pooled into a single
 score per model. Lower is better.
 
-The study runner fits every (model, fold) pair in worker processes. Fold
-marks are drawn once per study; every task derives its own generator from
+The study runner fits every (model, fold) pair, in the caller's process at
+one worker and in a pool of spawned processes above one. Fold marks are
+drawn once per study; every task derives its own generator from
 (seed, model, fold), so results are identical for any worker count.
 """
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from multiprocessing import get_context
 
 import numpy as np
@@ -268,23 +271,14 @@ class _StudyPayload:
     fail_fast: bool = True
 
 
-_PAYLOAD: _StudyPayload | None = None
-
-
-def _init_worker(payload: _StudyPayload) -> None:
-    global _PAYLOAD
-    _PAYLOAD = payload
-
-
 def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
     if not spec.include_field:
         return None
     return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
 
 
-def _full_fit_task(model_idx: int):
+def _full_fit_task(p: _StudyPayload, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
-    p = _PAYLOAD
     spec = p.specs[model_idx]
     try:
         mesh = _build_mesh(spec, p.stack)
@@ -304,10 +298,9 @@ def _full_fit_task(model_idx: int):
     )
 
 
-def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
+def _fold_fit_task(p: _StudyPayload, model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals."""
-    p = _PAYLOAD
     spec = p.specs[model_idx]
     try:
         mesh = _build_mesh(spec, p.stack)
@@ -356,6 +349,12 @@ def run_study(
     fold; fold fits are scored by subset residuals and pooled CRPS. The
     result is byte-identical for any ``workers`` value under a fixed seed.
 
+    At ``workers=1`` the fits run in the caller's process. Above one they
+    run in a pool of spawned processes, which re-import the caller's main
+    module: a script must then keep its entry point under an
+    ``if __name__ == "__main__":`` guard, and without one this call raises
+    ``BrokenProcessPool``.
+
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues.
     """
@@ -380,13 +379,15 @@ def run_study(
     summaries: dict[str, FitSummary] = {}
     failures: dict[str, list[str]] = {}
     results: dict[tuple[int, int], np.ndarray] = {}
-    with ProcessPoolExecutor(
-        max_workers=max(1, workers), mp_context=get_context("spawn"),
-        initializer=_init_worker, initargs=(payload,),
+    workers = max(1, workers)
+    with (
+        ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        if workers > 1 else nullcontext()
     ) as pool:
+        run = map if pool is None else pool.map
         theta_init: dict[int, np.ndarray] = {}
-        for model_idx, dic_res, summary, theta, err in pool.map(
-            _full_fit_task, range(len(specs))
+        for model_idx, dic_res, summary, theta, err in run(
+            _full_fit_task, repeat(payload), range(len(specs))
         ):
             if err is not None:
                 failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
@@ -397,8 +398,9 @@ def run_study(
 
         # fold fits warm-start from their model's full-fit hyper mode
         tasks = [(i, k) for i in theta_init for k in range(1, n_folds + 1)]
-        for model_idx, k, resid, err in pool.map(
+        for model_idx, k, resid, err in run(
             _fold_fit_task,
+            repeat(payload),
             [i for i, _ in tasks],
             [k for _, k in tasks],
             [theta_init[i] for i, _ in tasks],

@@ -160,17 +160,9 @@ class DomainMask:
         out[inside] = self.included.ravel()[cells[inside]]
         return out
 
-    def union(self, other: "DomainMask") -> "DomainMask":
-        self.grid.require_aligned(other.grid, "mask")
-        return DomainMask(self.grid, self.included | other.included)
-
     def difference(self, other: "DomainMask") -> "DomainMask":
         self.grid.require_aligned(other.grid, "mask")
         return DomainMask(self.grid, self.included & ~other.included)
-
-    def disjoint_from(self, other: "DomainMask") -> bool:
-        self.grid.require_aligned(other.grid, "mask")
-        return not np.any(self.included & other.included)
 
 
 @dataclass(frozen=True)

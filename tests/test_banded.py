@@ -107,15 +107,3 @@ class TestArrowFactor:
 
         ref = solve_triangular(u, z, lower=False)
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), ref, rtol=1e-9)
-
-    def test_empty_dense_block(self):
-        rng = np.random.default_rng(9)
-        a = random_banded_spd(10, 2, rng)
-        arrow = _banded.ArrowFactor(
-            _banded.from_sparse(a, 2), np.zeros((10, 0)), np.zeros((0, 0))
-        )
-        rhs = rng.standard_normal(10)
-        x_w, x_d = arrow.solve(rhs, np.zeros(0))
-        np.testing.assert_allclose(x_w, np.linalg.solve(a, rhs), rtol=1e-10)
-        assert x_d.size == 0
-        assert arrow.logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-10)

@@ -1,8 +1,14 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridcox import crossval
 from gridcox.crossval import (
     FoldAssignment,
     aggregate_crps,
@@ -265,13 +271,76 @@ class TestRunStudy:
         assert table.failures == {"m_bad": ["full fit: KeyError: \"unknown covariate 'nope'\""]}
         assert set(table.scores) == {"m_null"}
 
-    def test_worker_count_does_not_change_results(self, study_inputs):
+    def test_worker_count_does_not_change_results(self, study_inputs, monkeypatch):
         stack, doms, points, specs = study_inputs
         kwargs = dict(n_folds=2, n_draws=60, partition_dims=(3, 3), seed=12)
-        one = run_study(stack, doms, points, specs, workers=1, **kwargs)
+        with monkeypatch.context() as m:
+
+            def no_pool(*args, **kwargs):
+                raise AssertionError("one worker must not start a process pool")
+
+            m.setattr(crossval, "ProcessPoolExecutor", no_pool)
+            one = run_study(stack, doms, points, specs, workers=1, **kwargs)
         many = run_study(stack, doms, points, specs, workers=4, **kwargs)
         assert one.scores == many.scores  # exact float equality
         for m in one.model_ids:
             for t in one.by_subset[m]:
                 np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
             assert one.dic[m].dic == many.dic[m].dic
+
+
+# A study script with its entry point at module level, as a user might write
+# it. The 64 x 64 survey makes the study inputs about 150 KiB when pickled,
+# more than a 64 KiB pipe buffer, so a runner that sent them with a worker's
+# start-up data would block on a worker that never reads them.
+UNGUARDED_SCRIPT = """\
+import numpy as np
+from gridcox import (
+    CovariateStack, ModelSpec, RasterGrid, Scenario, habitat_domains, run_study, simulate_lgcp,
+)
+
+codes = np.ones((64, 64))
+codes[40:, 40:] = 2.0
+legend = {{1: "Sandy", 2: "P. oceanica"}}
+habitat = RasterGrid(0.0, 0.0, 10.0, 10.0, codes, kind="categorical", legend=legend)
+stack = CovariateStack(
+    grid=habitat, habitat=habitat, poceanica_label="P. oceanica", reference_class="Sandy"
+)
+domains = {{1: habitat_domains(habitat, "P. oceanica")[0]}}
+spec = ModelSpec(
+    covariates=(), include_poceanica=False, include_field=False, n_campaigns=1, model_id="m_null"
+)
+scn = Scenario(stack=stack, campaign_domains=domains, spec=spec, mu0=-5.5)
+points = simulate_lgcp(scn, np.random.default_rng(0)).points
+run_study(
+    stack, domains, points, [spec], n_folds=2, n_draws=20, partition_dims=(3, 3),
+    workers={workers},
+)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers):
+    # Spawned workers re-run the script and die in their bootstrap: the study
+    # must raise BrokenProcessPool rather than wait on them, and one worker
+    # must not spawn at all. The script runs in its own session so that a
+    # timeout can kill it together with any worker it started.
+    script = tmp_path / "study.py"
+    script.write_text(UNGUARDED_SCRIPT.format(workers=workers))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    timeout = 120
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"unguarded study script still running after {timeout} s")
+    if workers == 1:
+        assert proc.returncode == 0, err[-2000:]
+    else:
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in err, err[-2000:]
