@@ -12,17 +12,18 @@ are one A x K x G array. The CRPS of each fold's residual ensemble against 0
 is averaged over folds (one score per subset), then pooled into a single
 score per model. Lower is better.
 
-The study runner fits every (model, fold) pair, in the caller's process at
-one worker and in a pool of spawned processes above one. Fold marks are
-drawn once per study; every task derives its own generator from
+The study runner fits every (model, fold) pair with one OpenBLAS thread, in
+the caller's process at one worker and in spawned processes above one. Fold
+marks are drawn once per study; every task derives its own generator from
 (seed, model, fold), so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import get_context
@@ -277,6 +278,33 @@ def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
     return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Pin every OpenBLAS that numpy and scipy loaded to one thread.
+
+    Threaded BLAS in workers side by side oversubscribes the cores, and the
+    thread count changes floating-point sums, so every study task pins it,
+    in a worker or in the caller's process. Off Linux it does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})
+    except OSError:
+        paths = []
+    names = ("openblas_%s_num_threads", "scipy_openblas_%s_num_threads",
+             "scipy_openblas_%s_num_threads64_")
+    pins = [(getattr(lib, name % "set"), getattr(lib, name % "get")())
+            for lib in map(ctypes.CDLL, paths) for name in names if hasattr(lib, name % "get")]
+    for setter, _ in pins:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, n in pins:
+            setter(n)
+
+
+@_one_blas_thread()
 def _full_fit_task(p: _StudyPayload, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
     spec = p.specs[model_idx]
@@ -298,6 +326,7 @@ def _full_fit_task(p: _StudyPayload, model_idx: int):
     )
 
 
+@_one_blas_thread()
 def _fold_fit_task(p: _StudyPayload, model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals."""
@@ -346,8 +375,9 @@ def run_study(
 
     Fold marks are drawn once from (seed, "folds"). Every model is first fit
     to the full data (DIC, posterior summary, warm start), then once per
-    fold; fold fits are scored by subset residuals and pooled CRPS. The
-    result is byte-identical for any ``workers`` value under a fixed seed.
+    fold; fold fits are scored by subset residuals and pooled CRPS. Every
+    fit runs with one OpenBLAS thread, so the result is byte-identical for
+    any ``workers`` value under a fixed seed.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
     run in a pool of spawned processes, which re-import the caller's main
