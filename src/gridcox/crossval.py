@@ -13,17 +13,20 @@ is averaged over folds (one score per subset), then pooled into a single
 score per model. Lower is better.
 
 The study runner fits every (model, fold) pair with one OpenBLAS thread, in
-the caller's process at one worker and in spawned processes above one. Fold
-marks are drawn once per study; every task derives its own generator from
-(seed, model, fold), so results are identical for any worker count.
+the caller's process at one worker and in a pool of worker processes above
+one. On Linux the workers are forked from the caller, so a calling script
+needs no ``if __name__ == "__main__":`` guard; elsewhere they are spawned,
+re-import the calling script and need the guard. Fold marks are drawn once
+per study; every task derives its own generator from (seed, model, fold), so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import get_context
@@ -37,6 +40,7 @@ from .inference import (
     FitSummary,
     GriddedLikelihood,
     PosteriorDraws,
+    _one_blas_thread,
     bin_points,
     compute_dic,
     fit,
@@ -252,6 +256,11 @@ class CrpsTable:
 # ---------------------------------------------------------------------------
 
 
+# Start method of the study pool. Forked workers inherit the caller's imported
+# modules and do not re-run its __main__; spawn is the portable fallback.
+_MP_CONTEXT = get_context("fork" if sys.platform == "linux" else "spawn")
+
+
 def derive_rng(seed: int, *parts) -> np.random.Generator:
     """Generator derived by hashing (seed, parts); stable across processes."""
     label = "|".join([str(seed)] + [str(p) for p in parts])
@@ -278,32 +287,7 @@ def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
     return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Pin every OpenBLAS that numpy and scipy loaded to one thread.
-
-    Threaded BLAS in workers side by side oversubscribes the cores, and the
-    thread count changes floating-point sums, so every study task pins it,
-    in a worker or in the caller's process. Off Linux it does nothing.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})
-    except OSError:
-        paths = []
-    names = ("openblas_%s_num_threads", "scipy_openblas_%s_num_threads",
-             "scipy_openblas_%s_num_threads64_")
-    pins = [(getattr(lib, name % "set"), getattr(lib, name % "get")())
-            for lib in map(ctypes.CDLL, paths) for name in names if hasattr(lib, name % "get")]
-    for setter, _ in pins:
-        setter(1)
-    try:
-        yield
-    finally:
-        for setter, n in pins:
-            setter(n)
-
-
+# ``fit`` pins itself; the tasks pin too, for the BLAS calls of DIC and residuals.
 @_one_blas_thread()
 def _full_fit_task(p: _StudyPayload, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
@@ -380,8 +364,10 @@ def run_study(
     any ``workers`` value under a fixed seed.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
-    run in a pool of spawned processes, which re-import the caller's main
-    module: a script must then keep its entry point under an
+    run in a process pool. On Linux its workers are forked from the caller:
+    they start with its imported modules and do not re-run its main module,
+    so a script needs no guard. Elsewhere they are spawned and re-import the
+    caller's main module: a script must then keep its entry point under an
     ``if __name__ == "__main__":`` guard, and without one this call raises
     ``BrokenProcessPool``.
 
@@ -411,7 +397,7 @@ def run_study(
     results: dict[tuple[int, int], np.ndarray] = {}
     workers = max(1, workers)
     with (
-        ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+        ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
         if workers > 1 else nullcontext()
     ) as pool:
         run = map if pool is None else pool.map

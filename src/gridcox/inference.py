@@ -19,8 +19,10 @@ and draw the latent vector from the Gaussian approximation at that point.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
 NEWTON_MAX_ITER = 50
 NEWTON_GRAD_TOL = 1e-6
 GRID_HALF_WIDTH = 1.65  # theta grid offset in posterior sds: central 90% of a Gaussian
+AXIS_SD_CLIP = (0.1, 1.2)  # bounds on each theta axis's grid sd
 MAX_EXPLORE_EVALS = 150
 ETA_CLIP = 300.0  # keeps exp() finite during line search
 
@@ -57,6 +60,40 @@ class FitError(RuntimeError):
 
 def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
     return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
+
+
+def _openblas_threads() -> list:
+    """(setter, getter) of the thread count of every OpenBLAS the process has
+    loaded (numpy's and scipy's), read from ``/proc/self/maps``; empty off
+    Linux or with another BLAS."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})
+    except OSError:
+        paths = []
+    names = ("openblas_%s_num_threads", "scipy_openblas_%s_num_threads",
+             "scipy_openblas_%s_num_threads64_")
+    return [(getattr(lib, name % "set"), getattr(lib, name % "get"))
+            for lib in map(ctypes.CDLL, paths) for name in names if hasattr(lib, name % "get")]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, and restore its count after.
+
+    A second thread doubles a fit's CPU for about the same wall time, threaded
+    BLAS in workers side by side oversubscribes the cores, and the thread
+    count changes floating-point sums. So every fit runs with one thread,
+    whether called directly or from a study task in any process.
+    """
+    pins = [(setter, getter()) for setter, getter in _openblas_threads()]
+    for setter, _ in pins:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, n in pins:
+            setter(n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +439,7 @@ class _Explorer:
             f_down = self.evaluate(down).log_post
             curv = (f_up + f_down - 2.0 * mode.log_post) / probe**2
             sd[axis] = 1.0 / math.sqrt(-curv) if curv < -1e-8 else 1.0
-        return np.clip(sd, 0.1, 1.2)
+        return sd
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +495,7 @@ def _default_theta0(spec: ModelSpec) -> np.ndarray:
     return np.array(parts)
 
 
+@_one_blas_thread()
 def fit(
     like: GriddedLikelihood,
     n_draws: int = 1000,
@@ -467,7 +505,12 @@ def fit(
     """Fit the model and return posterior draws.
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
-    ``spec.hyper_names`` order).
+    ``spec.hyper_names`` order). The fit runs with one OpenBLAS thread.
+
+    ``diagnostics`` records the curvature sd of each theta axis
+    (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
+    (``axis_sd``) and the hyperparameters whose sd the bounds changed
+    (``axis_clipped``).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -482,7 +525,8 @@ def fit(
         theta0 = _default_theta0(spec)
         steps = (0.8, 0.4, 0.2, 0.1)
     mode = explorer.hill_climb(theta0, steps)
-    sd = explorer.axis_scales(mode)
+    raw_sd = explorer.axis_scales(mode)
+    sd = np.clip(raw_sd, *AXIS_SD_CLIP)
     delta = GRID_HALF_WIDTH * sd
 
     # 3^h points; a model without hyperparameters has the mode as its grid
@@ -523,6 +567,8 @@ def fit(
             "grid_points": len(points),
             "grid_delta": delta,
             "axis_sd": sd,
+            "axis_sd_raw": raw_sd,
+            "axis_clipped": [n for n, r, c in zip(spec.hyper_names, raw_sd, sd) if r != c],
         },
     )
 

@@ -292,13 +292,18 @@ class TestRunStudy:
 # A study script with its entry point at module level, as a user might write
 # it. The 64 x 64 survey makes the study inputs about 150 KiB when pickled,
 # more than a 64 KiB pipe buffer, so a runner that sent them with a worker's
-# start-up data would block on a worker that never reads them.
+# start-up data would block on a worker that never reads them. The script
+# prints a line each time its module-level code runs.
 UNGUARDED_SCRIPT = """\
+import multiprocessing
 import numpy as np
 from gridcox import (
-    CovariateStack, ModelSpec, RasterGrid, Scenario, habitat_domains, run_study, simulate_lgcp,
+    CovariateStack, ModelSpec, RasterGrid, Scenario, crossval, habitat_domains, run_study,
+    simulate_lgcp,
 )
 
+print("module code ran", flush=True)
+{set_context}
 codes = np.ones((64, 64))
 codes[40:, 40:] = 2.0
 legend = {{1: "Sandy", 2: "P. oceanica"}}
@@ -319,14 +324,27 @@ run_study(
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers):
-    # Spawned workers re-run the script and die in their bootstrap: the study
-    # must raise BrokenProcessPool rather than wait on them, and one worker
-    # must not spawn at all. The script runs in its own session so that a
-    # timeout can kill it together with any worker it started.
+@pytest.mark.parametrize(
+    "workers, start_method",
+    [
+        pytest.param(1, None, id="1"),
+        pytest.param(2, None, id="2"),
+        pytest.param(2, "spawn", id="2-spawn"),
+    ],
+)
+def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers, start_method):
+    # One worker runs in the script's process, and forked workers (the pool's
+    # start method on Linux) do not re-run the script: both must finish, with the
+    # module-level code run once. Spawned workers re-run the script and die in
+    # their bootstrap: the study must raise BrokenProcessPool rather than wait
+    # on them. The script runs in its own session so that a timeout can kill
+    # it together with any worker it started.
+    set_context = (
+        "" if start_method is None
+        else f"crossval._MP_CONTEXT = multiprocessing.get_context({start_method!r})"
+    )
     script = tmp_path / "study.py"
-    script.write_text(UNGUARDED_SCRIPT.format(workers=workers))
+    script.write_text(UNGUARDED_SCRIPT.format(workers=workers, set_context=set_context))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen(
         [sys.executable, str(script)], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
@@ -334,13 +352,15 @@ def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers):
     )
     timeout = 120
     try:
-        _, err = proc.communicate(timeout=timeout)
+        out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail(f"unguarded study script still running after {timeout} s")
-    if workers == 1:
+    if workers == 1 or (start_method is None and sys.platform == "linux"):
         assert proc.returncode == 0, err[-2000:]
+        assert out.count("module code ran") == 1, out
     else:
         assert proc.returncode != 0
         assert "BrokenProcessPool" in err, err[-2000:]
+

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from gridcox.geodata import PointPattern
 from gridcox.gmrf import LatticeMesh, MaternHyper, PcPriorSpec
-from gridcox import inference
+from gridcox import _banded, inference
 from gridcox.inference import (
     FitError,
     _gamma_logpdf,
@@ -307,6 +307,82 @@ class TestFieldFit:
         diag = draws.diagnostics
         assert diag["grid_points"] == 9  # two hyperparameters -> 3 x 3
         assert diag["n_evals"] <= 150
+
+
+class TestAxisClip:
+    def glm_like(self, stack, campaign_domains, survey):
+        # two campaigns on one domain: one hyperparameter, log tau
+        spec = glm_spec(campaigns=2)
+        d = campaign_domains[8]
+        pts = survey.for_campaign(8)
+        pts = PointPattern(pts.x, pts.y, 1 + np.arange(pts.n) % 2)
+        return bin_points(spec, stack, {1: d, 2: d}, pts)
+
+    @pytest.mark.parametrize("raw, clipped", [(0.05, 0.1), (3.0, 1.2)])
+    def test_clipped_axis_is_recorded(
+        self, stack, campaign_domains, survey, monkeypatch, raw, clipped
+    ):
+        like = self.glm_like(stack, campaign_domains, survey)
+        monkeypatch.setattr(inference._Explorer, "axis_scales", lambda self, mode: np.array([raw]))
+        draws = fit(like, n_draws=50, rng=np.random.default_rng(0))
+        monkeypatch.setattr(
+            inference._Explorer, "axis_scales", lambda self, mode: np.array([clipped])
+        )
+        at_bound = fit(like, n_draws=50, rng=np.random.default_rng(0))
+        diag = draws.diagnostics
+        assert diag["axis_sd_raw"].tolist() == [raw]
+        assert diag["axis_sd"].tolist() == [clipped]
+        assert diag["axis_clipped"] == ["log_tau"]
+        # the grid uses the clipped sd: draws equal a fit whose raw sd is the bound
+        assert at_bound.diagnostics["axis_clipped"] == []
+        np.testing.assert_array_equal(draws.dense, at_bound.dense)
+        np.testing.assert_array_equal(draws.log_hyper, at_bound.log_hyper)
+
+    def test_field_fit_records_its_clip(self, field_fit):
+        *_, draws = field_fit
+        diag = draws.diagnostics
+        raw, sd = diag["axis_sd_raw"], diag["axis_sd"]
+        np.testing.assert_array_equal(sd, np.clip(raw, *inference.AXIS_SD_CLIP))
+        names = draws.spec.hyper_names
+        assert diag["axis_clipped"] == [n for n, r, c in zip(names, raw, sd) if r != c]
+
+
+def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch):
+    # oracle: OpenBLAS's own thread-count getter, read inside every banded
+    # Cholesky of a small-mesh field fit and again after the fit returns
+    controls = inference._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    d = campaign_domains[8]
+    spec = ModelSpec(
+        covariates=(), include_poceanica=False, include_field=True, n_campaigns=1, pc_prior=PC
+    )
+    scn = Scenario(
+        stack=stack, campaign_domains={1: d}, spec=spec, mu0=math.log(800.0 / d.area),
+        hyper=MaternHyper(sigma=0.8, rho=70.0),
+    )
+    survey = simulate_lgcp(scn, np.random.default_rng(5))
+    mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2)
+    like = bin_points(spec, stack, {1: d}, survey.points, mesh=mesh)
+    seen = []
+    chol_init = _banded.BandedChol.__init__
+
+    def recording_init(self, ab):
+        seen.append([get() for _, get in controls])
+        chol_init(self, ab)
+
+    monkeypatch.setattr(_banded.BandedChol, "__init__", recording_init)
+    saved = [get() for _, get in controls]
+    for setter, _ in controls:
+        setter(2)
+    try:
+        fit(like, n_draws=20, rng=np.random.default_rng(0))
+        after = [get() for _, get in controls]
+    finally:
+        for (setter, _), n in zip(controls, saved):
+            setter(n)
+    assert seen and all(n == 1 for counts in seen for n in counts)
+    assert after == [2] * len(controls)
 
 
 class TestDic:
