@@ -14,11 +14,13 @@ score per model. Lower is better.
 
 The study runner fits every (model, fold) pair with one OpenBLAS thread, in
 the caller's process at one worker and in a pool of worker processes above
-one. On Linux the workers are forked from the caller, so a calling script
-needs no ``if __name__ == "__main__":`` guard; elsewhere they are spawned,
-re-import the calling script and need the guard. Fold marks are drawn once
-per study; every task derives its own generator from (seed, model, fold), so
-results are identical for any worker count.
+one. The caller holds that one thread for the whole study. On Linux the
+workers are forked from it: they inherit the count of 1, start no OpenBLAS
+threads, and need no ``if __name__ == "__main__":`` guard in the calling
+script. Elsewhere they are spawned, re-import the calling script, need the
+guard, and pin OpenBLAS per task. Fold marks are drawn once per study; every
+task derives its own generator from (seed, model, fold), so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
     return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
 
 
-# ``fit`` pins itself; the tasks pin too, for the BLAS calls of DIC and residuals.
+# ``fit`` pins itself; the tasks pin too, for the BLAS calls of DIC and
+# residuals. Under ``run_study`` both find the count at 1 and do nothing; they
+# still pin a spawned worker.
 @_one_blas_thread()
 def _full_fit_task(p: _StudyPayload, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
@@ -361,15 +365,18 @@ def run_study(
     to the full data (DIC, posterior summary, warm start), then once per
     fold; fold fits are scored by subset residuals and pooled CRPS. Every
     fit runs with one OpenBLAS thread, so the result is byte-identical for
-    any ``workers`` value under a fixed seed.
+    any ``workers`` value under a fixed seed. The caller's process holds one
+    thread from the first fit until the pool has shut down, and gets its
+    previous counts back on return.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
     run in a process pool. On Linux its workers are forked from the caller:
-    they start with its imported modules and do not re-run its main module,
-    so a script needs no guard. Elsewhere they are spawned and re-import the
-    caller's main module: a script must then keep its entry point under an
-    ``if __name__ == "__main__":`` guard, and without one this call raises
-    ``BrokenProcessPool``.
+    they start with its imported modules and its count of one thread, start
+    no OpenBLAS threads of their own, and do not re-run its main module, so
+    a script needs no guard. Elsewhere they are spawned, pin OpenBLAS per
+    task and re-import the caller's main module: a script must then keep its
+    entry point under an ``if __name__ == "__main__":`` guard, and without
+    one this call raises ``BrokenProcessPool``.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues.
@@ -396,7 +403,8 @@ def run_study(
     failures: dict[str, list[str]] = {}
     results: dict[tuple[int, int], np.ndarray] = {}
     workers = max(1, workers)
-    with (
+    # one pin for the whole study: forked workers inherit its count of 1
+    with _one_blas_thread(), (
         ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
         if workers > 1 else nullcontext()
     ) as pool:

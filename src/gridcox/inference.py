@@ -20,6 +20,7 @@ and draw the latent vector from the Gaussian approximation at that point.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -62,10 +63,16 @@ def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
     return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
 
 
-def _openblas_threads() -> list:
+@functools.cache
+def _openblas_threads() -> tuple:
     """(setter, getter) of the thread count of every OpenBLAS the process has
     loaded (numpy's and scipy's), read from ``/proc/self/maps``; empty off
-    Linux or with another BLAS."""
+    Linux or with another BLAS.
+
+    Looked up once per process: importing this module loads both libraries
+    (numpy, and scipy.linalg through ``_banded``), and a forked worker
+    inherits the lookup with the rest of its parent's memory.
+    """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})
@@ -73,8 +80,9 @@ def _openblas_threads() -> list:
         paths = []
     names = ("openblas_%s_num_threads", "scipy_openblas_%s_num_threads",
              "scipy_openblas_%s_num_threads64_")
-    return [(getattr(lib, name % "set"), getattr(lib, name % "get"))
-            for lib in map(ctypes.CDLL, paths) for name in names if hasattr(lib, name % "get")]
+    return tuple((getattr(lib, name % "set"), getattr(lib, name % "get"))
+                 for lib in map(ctypes.CDLL, paths) for name in names
+                 if hasattr(lib, name % "get"))
 
 
 @contextmanager
@@ -85,8 +93,14 @@ def _one_blas_thread():
     BLAS in workers side by side oversubscribes the cores, and the thread
     count changes floating-point sums. So every fit runs with one thread,
     whether called directly or from a study task in any process.
+
+    A library whose count already reads 1 is neither set nor restored.
+    OpenBLAS stops its server threads at a fork, and any call of the setter
+    in the child restarts them, whatever the count; they then busy-wait. So
+    a worker forked from a caller pinned to one thread, which inherits a
+    count of 1, runs every fit without starting a BLAS thread.
     """
-    pins = [(setter, getter()) for setter, getter in _openblas_threads()]
+    pins = [(setter, n) for setter, getter in _openblas_threads() if (n := getter()) != 1]
     for setter, _ in pins:
         setter(1)
     try:
@@ -509,8 +523,10 @@ def fit(
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
-    (``axis_sd``) and the hyperparameters whose sd the bounds changed
-    (``axis_clipped``).
+    (``axis_sd``), the hyperparameters whose sd the bounds changed
+    (``axis_clipped``) and, summed over the grid points, the number of
+    stacked rows whose log-intensity at the point's latent mode exceeds
+    ``ETA_CLIP`` (``eta_clipped``), where the likelihood's mean is capped.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -569,6 +585,9 @@ def fit(
             "axis_sd": sd,
             "axis_sd_raw": raw_sd,
             "axis_clipped": [n for n, r, c in zip(spec.hyper_names, raw_sd, sd) if r != c],
+            "eta_clipped": sum(
+                int(np.count_nonzero(like.design.eta(p.u_d, p.u_w) > ETA_CLIP)) for p in points
+            ),
         },
     )
 

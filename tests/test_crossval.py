@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcox import crossval
+from gridcox import crossval, inference
 from gridcox.crossval import (
     FoldAssignment,
     aggregate_crps,
@@ -287,6 +287,50 @@ class TestRunStudy:
             for t in one.by_subset[m]:
                 np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
             assert one.dic[m].dic == many.dic[m].dic
+
+    @pytest.mark.skipif(
+        crossval._MP_CONTEXT.get_start_method() != "fork" or not Path("/proc/self/task").is_dir(),
+        reason="needs forked workers and /proc",
+    )
+    def test_forked_workers_start_no_openblas_threads(self, study_inputs, monkeypatch, tmp_path):
+        # oracle: the kernel's thread list of each worker and OpenBLAS's own
+        # getters, read before and after every fit a study task makes
+        controls = inference._openblas_threads()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        log = tmp_path / "fits.log"
+        task_fit = crossval.fit
+
+        def record():
+            counts = " ".join(str(get()) for _, get in controls)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))} {counts}\n")
+
+        def recording_fit(*args, **kwargs):
+            record()
+            draws = task_fit(*args, **kwargs)
+            record()
+            return draws
+
+        monkeypatch.setattr(crossval, "fit", recording_fit)
+        stack, doms, points, specs = study_inputs
+        saved = [get() for _, get in controls]
+        for setter, _ in controls:
+            setter(2)  # a caller at 2 threads, whatever this machine's default
+        try:
+            run_study(
+                stack, doms, points, specs, n_folds=2, n_draws=20, partition_dims=(3, 3),
+                seed=14, workers=2,
+            )
+            after = [get() for _, get in controls]
+        finally:
+            for (setter, _), n in zip(controls, saved):
+                setter(n)
+        lines = [ln.split() for ln in log.read_text().splitlines()]
+        assert len(lines) == 2 * 3 * len(specs)  # 1 full and 2 fold fits per model
+        assert all(int(pid) != os.getpid() for pid, *_ in lines)
+        assert all(rest == ["1"] * (1 + len(controls)) for _, *rest in lines), lines
+        assert after == [2] * len(controls)
 
 
 # A study script with its entry point at module level, as a user might write

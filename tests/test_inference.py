@@ -307,6 +307,7 @@ class TestFieldFit:
         diag = draws.diagnostics
         assert diag["grid_points"] == 9  # two hyperparameters -> 3 x 3
         assert diag["n_evals"] <= 150
+        assert diag["eta_clipped"] == 0
 
 
 class TestAxisClip:
@@ -345,6 +346,84 @@ class TestAxisClip:
         np.testing.assert_array_equal(sd, np.clip(raw, *inference.AXIS_SD_CLIP))
         names = draws.spec.hyper_names
         assert diag["axis_clipped"] == [n for n, r, c in zip(names, raw, sd) if r != c]
+
+
+def test_eta_clip_hits_are_counted(stack, campaign_domains, survey, monkeypatch):
+    # oracle: the rows whose eta exceeds the clip, recounted at every grid
+    # point's mode. A clip that bites while Newton searches makes the Poisson
+    # objective unbounded (a clipped row with a count gains linearly in eta),
+    # so the clip is lowered to the median eta of the first grid point drawn
+    # from, once the grid is evaluated.
+    spec = glm_spec(covariates=("depth",), campaigns=2)
+    d = campaign_domains[8]
+    pts = survey.for_campaign(8)
+    pts = PointPattern(pts.x, pts.y, 1 + np.arange(pts.n) % 2)
+    like = bin_points(spec, stack, {1: d, 2: d}, pts)
+    explorers, clip = [], []
+    explorer_init, factor_at = inference._Explorer.__init__, inference._Explorer.factor_at
+
+    def recording_init(self, *args):
+        explorers.append(self)
+        explorer_init(self, *args)
+
+    def lowering_factor_at(self, point):
+        if not clip:
+            clip.append(float(np.median(like.design.eta(point.u_d, point.u_w))))
+            monkeypatch.setattr(inference, "ETA_CLIP", clip[0])
+        return factor_at(self, point)
+
+    monkeypatch.setattr(inference._Explorer, "__init__", recording_init)
+    monkeypatch.setattr(inference._Explorer, "factor_at", lowering_factor_at)
+    draws = fit(like, n_draws=100, rng=np.random.default_rng(0))
+    (explorer,) = explorers
+    n_evals = explorer.n_evals
+    delta = draws.diagnostics["grid_delta"]
+    grid = [explorer.evaluate(draws.theta_mode + off * delta) for off in (-1.0, 0.0, 1.0)]
+    assert explorer.n_evals == n_evals  # cache hits: the fit's own grid modes
+    etas = [like.design.eta(p.u_d, p.u_w) for p in grid]
+    expected = sum(int(np.sum(eta > clip[0])) for eta in etas)
+    assert 0 < draws.diagnostics["eta_clipped"] == expected < 3 * like.y.size
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def libs(self, monkeypatch):
+        """Two fake libraries at 1 and 2 threads; returns their counts and setter calls."""
+        counts, calls = [1, 2], []
+
+        def control(i):
+            def setter(n):
+                calls.append((i, n))
+                counts[i] = n
+
+            return setter, lambda: counts[i]
+
+        monkeypatch.setattr(inference, "_openblas_threads", lambda: (control(0), control(1)))
+        return counts, calls
+
+    def test_pins_and_restores_only_libraries_above_one(self, libs):
+        counts, calls = libs
+        with inference._one_blas_thread():
+            assert counts == [1, 1]
+            assert calls == [(1, 1)]  # library 0 already reads 1: no setter call
+        assert counts == [1, 2]
+        assert calls == [(1, 1), (1, 2)]
+
+    def test_restores_when_the_body_raises(self, libs):
+        counts, calls = libs
+        with pytest.raises(RuntimeError, match="boom"):
+            with inference._one_blas_thread():
+                raise RuntimeError("boom")
+        assert counts == [1, 2]
+        assert calls == [(1, 1), (1, 2)]
+
+    def test_library_lookup_is_cached(self):
+        first = inference._openblas_threads()
+        info = inference._openblas_threads.cache_info()
+        with inference._one_blas_thread():
+            assert inference._openblas_threads() is first
+        after = inference._openblas_threads.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 2, info.misses)
 
 
 def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch):
