@@ -14,13 +14,14 @@ score per model. Lower is better.
 
 The study runner fits every (model, fold) pair with one OpenBLAS thread, in
 the caller's process at one worker and in a pool of worker processes above
-one. The caller holds that one thread for the whole study. On Linux the
-workers are forked from it: they inherit the count of 1, start no OpenBLAS
-threads, and need no ``if __name__ == "__main__":`` guard in the calling
-script. Elsewhere they are spawned, re-import the calling script, need the
-guard, and pin OpenBLAS per task. Fold marks are drawn once per study; every
-task derives its own generator from (seed, model, fold), so results are
-identical for any worker count.
+one. The caller holds that one thread for the whole study, and above one
+worker keeps it after the study. On Linux the workers are forked from it:
+they inherit the count of 1, start no OpenBLAS threads, and need no
+``if __name__ == "__main__":`` guard in the calling script. Elsewhere they
+are spawned, re-import the calling script, need the guard, and pin OpenBLAS
+per task. Fold marks are drawn once per study; every task derives its own
+generator from (seed, model, fold), so results are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .inference import (
     GriddedLikelihood,
     PosteriorDraws,
     _one_blas_thread,
+    _set_one_blas_thread,
     bin_points,
     compute_dic,
     fit,
@@ -366,8 +368,10 @@ def run_study(
     fold; fold fits are scored by subset residuals and pooled CRPS. Every
     fit runs with one OpenBLAS thread, so the result is byte-identical for
     any ``workers`` value under a fixed seed. The caller's process holds one
-    thread from the first fit until the pool has shut down, and gets its
-    previous counts back on return.
+    thread from the first fit on. At ``workers=1`` it gets its previous
+    counts back on return. Above one it keeps one thread: the pool's fork
+    stops the caller's OpenBLAS threads, and restoring a count would start
+    them again, to busy-wait after this call has returned.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
     run in a process pool. On Linux its workers are forked from the caller:
@@ -403,7 +407,11 @@ def run_study(
     failures: dict[str, list[str]] = {}
     results: dict[tuple[int, int], np.ndarray] = {}
     workers = max(1, workers)
-    # one pin for the whole study: forked workers inherit its count of 1
+    if workers > 1:
+        # kept after the study: forked workers inherit the count of 1, and
+        # the caller's OpenBLAS threads, stopped by the fork, stay stopped
+        _set_one_blas_thread()
+    # one pin for the whole study; a no-op above one worker
     with _one_blas_thread(), (
         ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
         if workers > 1 else nullcontext()

@@ -85,6 +85,22 @@ def _openblas_threads() -> tuple:
                  if hasattr(lib, name % "get"))
 
 
+def _set_one_blas_thread() -> list:
+    """Set every loaded OpenBLAS to one thread; returns the (setter, previous
+    count) of each library it changed.
+
+    A library whose count already reads 1 is left alone. OpenBLAS stops its
+    server threads at a fork, and any call of the setter after that restarts
+    them, whatever the count; they then busy-wait. So a worker forked from a
+    caller set to one thread, which inherits a count of 1, runs every fit
+    without starting a BLAS thread.
+    """
+    pins = [(setter, n) for setter, getter in _openblas_threads() if (n := getter()) != 1]
+    for setter, _ in pins:
+        setter(1)
+    return pins
+
+
 @contextmanager
 def _one_blas_thread():
     """Pin every loaded OpenBLAS to one thread, and restore its count after.
@@ -92,17 +108,10 @@ def _one_blas_thread():
     A second thread doubles a fit's CPU for about the same wall time, threaded
     BLAS in workers side by side oversubscribes the cores, and the thread
     count changes floating-point sums. So every fit runs with one thread,
-    whether called directly or from a study task in any process.
-
-    A library whose count already reads 1 is neither set nor restored.
-    OpenBLAS stops its server threads at a fork, and any call of the setter
-    in the child restarts them, whatever the count; they then busy-wait. So
-    a worker forked from a caller pinned to one thread, which inherits a
-    count of 1, runs every fit without starting a BLAS thread.
+    whether called directly or from a study task in any process. A library
+    already at one thread is neither set nor restored (``_set_one_blas_thread``).
     """
-    pins = [(setter, n) for setter, getter in _openblas_threads() if (n := getter()) != 1]
-    for setter, _ in pins:
-        setter(1)
+    pins = _set_one_blas_thread()
     try:
         yield
     finally:

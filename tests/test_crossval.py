@@ -330,6 +330,27 @@ class TestRunStudy:
         assert len(lines) == 2 * 3 * len(specs)  # 1 full and 2 fold fits per model
         assert all(int(pid) != os.getpid() for pid, *_ in lines)
         assert all(rest == ["1"] * (1 + len(controls)) for _, *rest in lines), lines
+        # the caller keeps one thread: restoring 2 would restart the server
+        # threads that the fork stopped
+        assert after == [1] * len(controls)
+
+    def test_caller_gets_its_openblas_count_back_at_one_worker(self, study_inputs):
+        controls = inference._openblas_threads()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        stack, doms, points, specs = study_inputs
+        saved = [get() for _, get in controls]
+        for setter, _ in controls:
+            setter(2)
+        try:
+            run_study(
+                stack, doms, points, specs, n_folds=2, n_draws=20, partition_dims=(3, 3),
+                seed=14, workers=1,
+            )
+            after = [get() for _, get in controls]
+        finally:
+            for (setter, _), n in zip(controls, saved):
+                setter(n)
         assert after == [2] * len(controls)
 
 

@@ -409,6 +409,13 @@ class TestOneBlasThread:
         assert counts == [1, 2]
         assert calls == [(1, 1), (1, 2)]
 
+    def test_set_leaves_libraries_at_one_thread(self, libs):
+        counts, calls = libs
+        pins = inference._set_one_blas_thread()
+        assert counts == [1, 1]
+        assert calls == [(1, 1)]
+        assert [n for _, n in pins] == [2]
+
     def test_restores_when_the_body_raises(self, libs):
         counts, calls = libs
         with pytest.raises(RuntimeError, match="boom"):
