@@ -12,16 +12,16 @@ are one A x K x G array. The CRPS of each fold's residual ensemble against 0
 is averaged over folds (one score per subset), then pooled into a single
 score per model. Lower is better.
 
-The study runner fits every (model, fold) pair with one OpenBLAS thread, in
-the caller's process at one worker and in a pool of worker processes above
-one. The caller holds that one thread for the whole study, and above one
-worker keeps it after the study. On Linux the workers are forked from it:
-they inherit the count of 1, start no OpenBLAS threads, and need no
-``if __name__ == "__main__":`` guard in the calling script. Elsewhere they
-are spawned, re-import the calling script, need the guard, and pin OpenBLAS
-per task. Fold marks are drawn once per study; every task derives its own
-generator from (seed, model, fold), so results are identical for any worker
-count.
+The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
+thread, in the caller's process at one worker and in a pool of worker
+processes above one. The caller holds that one thread for the whole study,
+and above one worker keeps it after the study. On Linux the workers are
+forked from it: they inherit the count of 1, start no OpenBLAS threads, and
+need no ``if __name__ == "__main__":`` guard in the calling script.
+Elsewhere they are spawned, re-import the calling script and need the
+guard, and nothing pins OpenBLAS. Fold marks are drawn once per study; every
+task derives its own generator from (seed, model, fold), so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing import get_context
@@ -291,10 +290,6 @@ def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
     return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
 
 
-# ``fit`` pins itself; the tasks pin too, for the BLAS calls of DIC and
-# residuals. Under ``run_study`` both find the count at 1 and do nothing; they
-# still pin a spawned worker.
-@_one_blas_thread()
 def _full_fit_task(p: _StudyPayload, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
     spec = p.specs[model_idx]
@@ -316,7 +311,6 @@ def _full_fit_task(p: _StudyPayload, model_idx: int):
     )
 
 
-@_one_blas_thread()
 def _fold_fit_task(p: _StudyPayload, model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals."""
@@ -365,10 +359,10 @@ def run_study(
 
     Fold marks are drawn once from (seed, "folds"). Every model is first fit
     to the full data (DIC, posterior summary, warm start), then once per
-    fold; fold fits are scored by subset residuals and pooled CRPS. Every
-    fit runs with one OpenBLAS thread, so the result is byte-identical for
-    any ``workers`` value under a fixed seed. The caller's process holds one
-    thread from the first fit on. At ``workers=1`` it gets its previous
+    fold; fold fits are scored by subset residuals and pooled CRPS. On Linux
+    every fit runs with one OpenBLAS thread, so the result is byte-identical
+    for any ``workers`` value under a fixed seed. The caller's process holds
+    one thread from the first fit on. At ``workers=1`` it gets its previous
     counts back on return. Above one it keeps one thread: the pool's fork
     stops the caller's OpenBLAS threads, and restoring a count would start
     them again, to busy-wait after this call has returned.
@@ -377,10 +371,10 @@ def run_study(
     run in a process pool. On Linux its workers are forked from the caller:
     they start with its imported modules and its count of one thread, start
     no OpenBLAS threads of their own, and do not re-run its main module, so
-    a script needs no guard. Elsewhere they are spawned, pin OpenBLAS per
-    task and re-import the caller's main module: a script must then keep its
-    entry point under an ``if __name__ == "__main__":`` guard, and without
-    one this call raises ``BrokenProcessPool``.
+    a script needs no guard. Elsewhere nothing pins OpenBLAS, and the
+    workers are spawned and re-import the caller's main module: a script
+    must then keep its entry point under an ``if __name__ == "__main__":``
+    guard, and without one this call raises ``BrokenProcessPool``.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues.
@@ -411,12 +405,11 @@ def run_study(
         # kept after the study: forked workers inherit the count of 1, and
         # the caller's OpenBLAS threads, stopped by the fork, stay stopped
         _set_one_blas_thread()
-    # one pin for the whole study; a no-op above one worker
-    with _one_blas_thread(), (
-        ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
-        if workers > 1 else nullcontext()
-    ) as pool:
-        run = map if pool is None else pool.map
+        context = ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
+    else:
+        context = _one_blas_thread()  # in-process fits; restored after them
+    with context as pool:
+        run = pool.map if workers > 1 else map
         theta_init: dict[int, np.ndarray] = {}
         for model_idx, dic_res, summary, theta, err in run(
             _full_fit_task, repeat(payload), range(len(specs))

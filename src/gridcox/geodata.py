@@ -176,7 +176,6 @@ class PartitionScheme:
     """
 
     campaign_domain: DomainMask
-    grid_dims: tuple[int, int]
     cell_subset: np.ndarray
     subsets: list[np.ndarray]
     subset_boxes: np.ndarray  # (G, 4): xmin, ymin, xmax, ymax of lattice rect
@@ -216,10 +215,6 @@ class PointPattern:
     @property
     def n(self) -> int:
         return self.x.size
-
-    @property
-    def campaigns(self) -> np.ndarray:
-        return np.unique(self.campaign)
 
     def for_campaign(self, t: int) -> "PointPattern":
         return self.take(self.campaign == t)
@@ -479,7 +474,6 @@ def build_partition(domain: DomainMask, rows: int, cols: int) -> PartitionScheme
         boxes.append((x0 + c * step_x, y0 + r * step_y, x0 + (c + 1) * step_x, y0 + (r + 1) * step_y))
     return PartitionScheme(
         campaign_domain=domain,
-        grid_dims=(rows, cols),
         cell_subset=cell_subset,
         subsets=subsets,
         subset_boxes=np.array(boxes, dtype=float).reshape(len(subsets), 4),

@@ -52,7 +52,6 @@ NEWTON_GRAD_TOL = 1e-6
 GRID_HALF_WIDTH = 1.65  # theta grid offset in posterior sds: central 90% of a Gaussian
 AXIS_SD_CLIP = (0.1, 1.2)  # bounds on each theta axis's grid sd
 MAX_EXPLORE_EVALS = 150
-ETA_CLIP = 300.0  # keeps exp() finite during line search
 
 
 class FitError(RuntimeError):
@@ -107,9 +106,10 @@ def _one_blas_thread():
 
     A second thread doubles a fit's CPU for about the same wall time, threaded
     BLAS in workers side by side oversubscribes the cores, and the thread
-    count changes floating-point sums. So every fit runs with one thread,
-    whether called directly or from a study task in any process. A library
-    already at one thread is neither set nor restored (``_set_one_blas_thread``).
+    count changes floating-point sums. So ``fit`` and ``run_study`` hold one
+    thread. The pin acts only on Linux, where ``_openblas_threads`` finds the
+    libraries; elsewhere it does nothing. A library already at one thread is
+    neither set nor restored (``_set_one_blas_thread``).
     """
     pins = _set_one_blas_thread()
     try:
@@ -154,7 +154,7 @@ class GriddedLikelihood:
 
     def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
         """Expected count of every row at log-intensities ``eta``."""
-        return self.design.weight * np.exp(np.minimum(eta, ETA_CLIP))
+        return self.design.weight * np.exp(eta)
 
     def loglik(self, eta: np.ndarray, with_const: bool = False) -> float:
         """Poisson count log-likelihood at stacked log-intensities ``eta``;
@@ -310,7 +310,9 @@ class _Inner:
             for _ in range(40):
                 new_w = u_w + scale * step_w
                 new_d = u_d + scale * step_d
-                new_obj = self.objective(new_w, new_d)
+                # an overflowing exp scores -inf, and the halving rejects it
+                with np.errstate(over="ignore"):
+                    new_obj = self.objective(new_w, new_d)
                 if new_obj > obj - noise:
                     break
                 scale *= 0.5
@@ -528,14 +530,13 @@ def fit(
     """Fit the model and return posterior draws.
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
-    ``spec.hyper_names`` order). The fit runs with one OpenBLAS thread.
+    ``spec.hyper_names`` order). On Linux the fit runs with one OpenBLAS
+    thread (``_one_blas_thread``).
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
-    (``axis_sd``), the hyperparameters whose sd the bounds changed
-    (``axis_clipped``) and, summed over the grid points, the number of
-    stacked rows whose log-intensity at the point's latent mode exceeds
-    ``ETA_CLIP`` (``eta_clipped``), where the likelihood's mean is capped.
+    (``axis_sd``) and the hyperparameters whose sd the bounds changed
+    (``axis_clipped``).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -594,9 +595,6 @@ def fit(
             "axis_sd": sd,
             "axis_sd_raw": raw_sd,
             "axis_clipped": [n for n, r, c in zip(spec.hyper_names, raw_sd, sd) if r != c],
-            "eta_clipped": sum(
-                int(np.count_nonzero(like.design.eta(p.u_d, p.u_w) > ETA_CLIP)) for p in points
-            ),
         },
     )
 
@@ -681,7 +679,6 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     d_hat = -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
     dot_y = eta @ like.y
     # the intensities overwrite the eta buffer: no second (A, N) array
-    np.minimum(eta, ETA_CLIP, out=eta)
     np.exp(eta, out=eta)
     expected = like.design.weight * eta.sum(axis=1)  # total Poisson mean per draw
     dbar = -2.0 * (float(np.mean(dot_y - expected)) + like.loglik_const)

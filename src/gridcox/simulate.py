@@ -41,7 +41,6 @@ class Scenario:
     hyper: MaternHyper | None = None
     tau: float | None = None
     mu_t: tuple[float, ...] | None = None
-    halo: int | None = None
 
     def __post_init__(self):
         if len(self.beta) != len(self.spec.covariates):
@@ -58,7 +57,7 @@ class Scenario:
     def build_mesh(self) -> LatticeMesh | None:
         if not self.spec.include_field:
             return None
-        return LatticeMesh.for_grid(self.stack.grid, rho_ref=self.hyper.rho, halo=self.halo)
+        return LatticeMesh.for_grid(self.stack.grid, rho_ref=self.hyper.rho)
 
 
 @dataclass
