@@ -4,15 +4,28 @@ arrowhead (banded + dense border) Cholesky used for the joint latent field.
 Storage: a symmetric n x n matrix with bandwidth ``bw`` lives in an array
 ``ab`` of shape (bw + 1, n) with ``ab[bw + i - j, j] = A[i, j]`` for
 ``j - bw <= i <= j``. Row ``bw`` (the last row) is the main diagonal. This is
-the layout scipy's ``cholesky_banded``/``solveh_banded`` and BLAS ``dsbmv``
-expect for ``lower=False``.
+the layout LAPACK ``pbtrf``/``tbtrs`` and BLAS ``dsbmv`` expect for
+``lower=False``. Kept column-major (Fortran order), the array is what LAPACK
+reads, so ``BandedChol`` factors it in place: the factor shares the input's
+memory and the input is consumed. A C-ordered input is copied once and left
+as it was.
+
+Column-major band storage is also a dense column-major matrix with leading
+dimension ``bw``: entry (i, j) of the band sits at flat position
+``bw + i + j * bw``. So a bw x bw block of the triangular factor is a
+zero-copy view that level-3 BLAS takes as is. Posterior sampling maps
+hundreds of right-hand sides through the factor at once and runs that
+back-substitution blockwise in ``dtrsm``/``dtrmm``. The solves inside Newton
+(1 to 3 columns) stay on LAPACK ``dtbtrs``, where a Python loop over n / bw
+blocks would cost more than the level-2 solve it replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
-from scipy.linalg.blas import dsbmv
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dgemm, dsbmv, dtrmm, dtrsm
 
 
 def from_sparse(a, bw: int) -> np.ndarray:
@@ -36,11 +49,20 @@ def quadform(ab: np.ndarray, x: np.ndarray) -> float:
 
 
 class BandedChol:
-    """Cholesky factor A = R.T @ R of a symmetric positive definite banded A."""
+    """Cholesky factor A = R.T @ R of a symmetric positive definite banded A.
+
+    A Fortran-ordered ``ab`` is overwritten by R. Raises
+    ``np.linalg.LinAlgError`` when A is not positive definite or holds a
+    non-finite entry: a NaN anywhere in the band reaches R's diagonal.
+    """
 
     def __init__(self, ab: np.ndarray):
-        self.factor = cholesky_banded(ab, lower=False)
-        self._tbtrs, = get_lapack_funcs(("tbtrs",), (self.factor,))
+        pbtrf, self._tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
+        self.factor, info = pbtrf(ab, lower=0, overwrite_ab=1)
+        if info != 0 or not np.isfinite(self.factor[-1]).all():
+            raise np.linalg.LinAlgError(
+                f"banded Cholesky failed (pbtrf info={info}, or a non-finite pivot)"
+            )
 
     @property
     def logdet(self) -> float:
@@ -65,6 +87,37 @@ class BandedChol:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A @ x = b."""
         return self.solve_r(self.solve_rt(b))
+
+    def _block(self, i0: int, j0: int, rows: int, cols: int) -> np.ndarray:
+        """R[i0:i0 + rows, j0:j0 + cols] as a view with leading dimension bw;
+        only the entries inside the band are R's."""
+        bw = self.factor.shape[0] - 1
+        flat = self.factor.ravel(order="F")
+        step = flat.itemsize
+        return as_strided(flat[bw + i0 + j0 * bw :], (rows, cols), (step, bw * step))
+
+    def solve_r_many(self, xt: np.ndarray) -> None:
+        """Solve R @ x = b in place on xt = b.T, a column-major (k, n) array.
+
+        Back-substitution in blocks of bw rows: with X R.T = B for X = xt,
+        each block takes the solved block to its right through the coupling
+        R[I, I + bw] (lower triangular, or lower trapezoidal before a short
+        last block) and then solves with the upper triangle R[I, I].
+        """
+        bw, n = self.factor.shape[0] - 1, self.factor.shape[1]
+        for i0 in reversed(range(0, n, bw)):
+            i1 = min(i0 + bw, n)
+            if i1 < n:
+                j1 = min(i1 + bw, n)
+                b = j1 - i1
+                done = xt[:, i1:j1]
+                xt[:, i0 : i0 + b] -= dtrmm(1.0, self._block(i0, i1, b, b), done,
+                                            side=1, lower=1, trans_a=1)
+                if b < bw:
+                    dgemm(-1.0, done, self._block(i0 + b, i1, bw - b, b), beta=1.0,
+                          c=xt[:, i0 + b : i1], trans_b=1, overwrite_c=1)
+            dtrsm(1.0, self._block(i0, i0, i1 - i0, i1 - i0), xt[:, i0:i1],
+                  side=1, lower=0, trans_a=1, overwrite_b=1)
 
 
 class ArrowFactor:
@@ -96,7 +149,14 @@ class ArrowFactor:
         return x_w, x_d
 
     def sample(self, z_w: np.ndarray, z_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map standard normals to a draw from N(0, Q^{-1}): solve U x = z."""
+        """Map standard normals to a draw from N(0, Q^{-1}): solve U x = z.
+
+        Columns are draws. A C-ordered ``z_w`` is overwritten by ``x_w``.
+        """
         x_d = np.linalg.solve(self.ls.T, z_d)
-        x_w = self.rw.solve_r(z_w - self.x @ x_d)
-        return x_w, x_d
+        # (draws, n) column-major: z_w's own memory when z_w is C-ordered
+        xt = np.asfortranarray(z_w.T if z_w.ndim == 2 else z_w[None, :])
+        x_dt = x_d.T if x_d.ndim == 2 else x_d[None, :]
+        dgemm(-1.0, x_dt, self.x, beta=1.0, c=xt, trans_b=1, overwrite_c=1)
+        self.rw.solve_r_many(xt)
+        return (xt.T if z_w.ndim == 2 else xt[0]), x_d

@@ -211,9 +211,10 @@ class SparsePrecision:
 
     @property
     def ab(self) -> np.ndarray:
-        """Q in full upper-banded storage (bandwidth 2C), as a new array."""
+        """Q in full upper-banded storage (bandwidth 2C), as a new column-major
+        array, the order LAPACK reads: ``_banded.BandedChol`` factors it in place."""
         bw = self.mesh.bandwidth
-        ab = np.zeros((bw + 1, self.n))
+        ab = np.zeros((bw + 1, self.n), order="F")
         ab[bw - self.mesh.offsets] = self.diags
         return ab
 
@@ -253,5 +254,7 @@ def sample_field(
     """Draw zero-mean fields on the mesh; shape (n_draws, mesh.n)."""
     factor = _banded.BandedChol(prec.ab)
     z = rng.standard_normal((prec.n, n_draws))
+    # the level-2 solve, not ArrowFactor's blockwise one: simulated surveys
+    # are built from these draws and keep their rounding
     draws = factor.solve_r(z)
     return np.ascontiguousarray(draws.T)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gridcox import _banded
+from gridcox.gmrf import LatticeMesh, MaternHyper, build_precision
 
 
 def random_banded_spd(n, bw, rng):
@@ -14,6 +16,14 @@ def random_banded_spd(n, bw, rng):
     # re-symmetrize and re-inflate the diagonal so banding keeps it SPD
     a = 0.5 * (a + a.T) + n * np.eye(n)
     return a
+
+
+def band_to_dense(ab, symmetric=True):
+    """Dense matrix of upper-banded storage: the symmetric A, or only its
+    upper triangle (a triangular factor R)."""
+    bw = ab.shape[0] - 1
+    upper = sum(np.diag(ab[bw - k, k:], k) for k in range(bw + 1))
+    return upper + np.triu(upper, 1).T if symmetric else upper
 
 
 class TestBandedStorage:
@@ -59,6 +69,29 @@ class TestBandedChol:
         b = rng.standard_normal((10, 3))
         np.testing.assert_allclose(chol.solve(b), np.linalg.solve(a, b), rtol=1e-10)
 
+    @pytest.mark.parametrize("row, col", [(5, 9), (2, 9)], ids=["diagonal", "off-diagonal"])
+    def test_nan_in_band_raises(self, row, col):
+        # LAPACK's pbtrf can report success on a NaN band; the check must not
+        a = random_banded_spd(12, 5, np.random.default_rng(8))
+        ab = np.asfortranarray(_banded.from_sparse(a, 5))
+        ab[row, col] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _banded.BandedChol(ab)
+
+    def test_factors_column_major_band_in_place(self):
+        prec = build_precision(LatticeMesh(4, 3, 1.0, 1.0, halo=1), MaternHyper(1.0, 2.0))
+        ab = prec.ab
+        assert ab.flags.f_contiguous
+        assert np.shares_memory(_banded.BandedChol(ab).factor, ab)
+
+    def test_c_ordered_band_is_left_unchanged(self):
+        ab = _banded.from_sparse(random_banded_spd(12, 3, np.random.default_rng(9)), 3)
+        assert ab.flags.c_contiguous
+        kept = ab.copy()
+        chol = _banded.BandedChol(ab)
+        assert np.array_equal(ab, kept)
+        assert not np.shares_memory(chol.factor, ab)
+
 
 class TestArrowFactor:
     def make_blocks(self, n=18, bw=4, m=3, seed=5):
@@ -82,28 +115,36 @@ class TestArrowFactor:
     def test_factor_reconstructs_q(self):
         a, b, s, q, _ = self.make_blocks(seed=6)
         arrow = _banded.ArrowFactor(_banded.from_sparse(a, 4), b, s)
-        n, m = 18, 3
-        r = np.zeros((n, n))
-        bw = arrow.rw.factor.shape[0] - 1
-        for k in range(bw + 1):
-            r += np.diag(arrow.rw.factor[bw - k, k:], k)
-        u = np.block([[r, arrow.x], [np.zeros((m, n)), arrow.ls.T]])
+        r = band_to_dense(arrow.rw.factor, symmetric=False)
+        u = np.block([[r, arrow.x], [np.zeros((3, 18)), arrow.ls.T]])
         np.testing.assert_allclose(u.T @ u, q, rtol=1e-9, atol=1e-9)
 
-    def test_sample_has_precision_q(self):
+    @pytest.mark.parametrize(
+        "mesh_rows, draws",
+        [(None, None), (None, 1), (None, 37), (6, 37), (7, 37)],
+        ids=["vector", "1-column", "37-columns", "lattice-even-rows", "lattice-odd-rows"],
+    )
+    def test_sample_has_precision_q(self, mesh_rows, draws):
         # U x = z with z standard normal gives cov(x) = Q^{-1}; check the map
-        # itself is U^{-1} by comparing with a dense triangular solve
-        a, b, s, q, rng = self.make_blocks(seed=7)
-        arrow = _banded.ArrowFactor(_banded.from_sparse(a, 4), b, s)
-        n, m = 18, 3
-        z = rng.standard_normal(n + m)
-        x_w, x_d = arrow.sample(z[:n], z[n:])
-        r = np.zeros((n, n))
-        bw = arrow.rw.factor.shape[0] - 1
-        for k in range(bw + 1):
-            r += np.diag(arrow.rw.factor[bw - k, k:], k)
+        # itself is U^{-1} by comparing with a dense triangular solve. Blocks
+        # of the solve are bw rows; a lattice band has bw = 2 * cols, so an
+        # odd row count (like n = 18, bw = 4) leaves a short last block
+        if mesh_rows is None:
+            a, b, s, _, rng = self.make_blocks(seed=7)
+            ab = _banded.from_sparse(a, 4)
+        else:
+            rng = np.random.default_rng(7)
+            mesh = LatticeMesh(mesh_rows - 2, 3, 1.0, 1.0, halo=1)
+            ab = build_precision(mesh, MaternHyper(1.0, 2.0)).ab
+            ab[-1] += rng.uniform(0.5, 2.0, mesh.n)  # Poisson weights, as in the Hessian
+            b = rng.standard_normal((mesh.n, 3))
+            s = b.T @ np.linalg.solve(band_to_dense(ab), b) + 3.0 * np.eye(3)
+        n, m = b.shape
+        arrow = _banded.ArrowFactor(ab, b, s)
+        r = band_to_dense(arrow.rw.factor, symmetric=False)
         u = np.block([[r, arrow.x], [np.zeros((m, n)), arrow.ls.T]])
-        from scipy.linalg import solve_triangular
-
+        z = rng.standard_normal((n + m,) if draws is None else (n + m, draws))
         ref = solve_triangular(u, z, lower=False)
+        x_w, x_d = arrow.sample(z[:n], z[n:])
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), ref, rtol=1e-9)
+        assert np.shares_memory(x_w, z)  # the draws overwrite the normals
