@@ -149,14 +149,12 @@ class ArrowFactor:
         return x_w, x_d
 
     def sample(self, z_w: np.ndarray, z_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map standard normals to a draw from N(0, Q^{-1}): solve U x = z.
+        """Map standard normals to draws from N(0, Q^{-1}): solve U x = z.
 
         Columns are draws. A C-ordered ``z_w`` is overwritten by ``x_w``.
         """
         x_d = np.linalg.solve(self.ls.T, z_d)
-        # (draws, n) column-major: z_w's own memory when z_w is C-ordered
-        xt = np.asfortranarray(z_w.T if z_w.ndim == 2 else z_w[None, :])
-        x_dt = x_d.T if x_d.ndim == 2 else x_d[None, :]
-        dgemm(-1.0, x_dt, self.x, beta=1.0, c=xt, trans_b=1, overwrite_c=1)
+        xt = np.asfortranarray(z_w.T)  # z_w's own memory when z_w is C-ordered
+        dgemm(-1.0, x_d.T, self.x, beta=1.0, c=xt, trans_b=1, overwrite_c=1)
         self.rw.solve_r_many(xt)
-        return (xt.T if z_w.ndim == 2 else xt[0]), x_d
+        return xt.T, x_d

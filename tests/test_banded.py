@@ -121,8 +121,8 @@ class TestArrowFactor:
 
     @pytest.mark.parametrize(
         "mesh_rows, draws",
-        [(None, None), (None, 1), (None, 37), (6, 37), (7, 37)],
-        ids=["vector", "1-column", "37-columns", "lattice-even-rows", "lattice-odd-rows"],
+        [(None, 1), (None, 37), (6, 37), (7, 37)],
+        ids=["1-column", "37-columns", "lattice-even-rows", "lattice-odd-rows"],
     )
     def test_sample_has_precision_q(self, mesh_rows, draws):
         # U x = z with z standard normal gives cov(x) = Q^{-1}; check the map
@@ -143,7 +143,7 @@ class TestArrowFactor:
         arrow = _banded.ArrowFactor(ab, b, s)
         r = band_to_dense(arrow.rw.factor, symmetric=False)
         u = np.block([[r, arrow.x], [np.zeros((m, n)), arrow.ls.T]])
-        z = rng.standard_normal((n + m,) if draws is None else (n + m, draws))
+        z = rng.standard_normal((n + m, draws))
         ref = solve_triangular(u, z, lower=False)
         x_w, x_d = arrow.sample(z[:n], z[n:])
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), ref, rtol=1e-9)
