@@ -99,10 +99,11 @@ class BandedChol:
     def solve_r_many(self, xt: np.ndarray) -> None:
         """Solve R @ x = b in place on xt = b.T, a column-major (k, n) array.
 
-        Back-substitution in blocks of bw rows: with X R.T = B for X = xt,
-        each block takes the solved block to its right through the coupling
-        R[I, I + bw] (lower triangular, or lower trapezoidal before a short
-        last block) and then solves with the upper triangle R[I, I].
+        Back-substitution in blocks of bw rows, transposed (x.T R.T = b.T)
+        so that BLAS applies R from the right: each block subtracts the solved
+        block to its right through the coupling R[I, I + bw] (lower
+        triangular; lower trapezoidal before a short last block), then solves
+        with the upper triangle R[I, I].
         """
         bw, n = self.factor.shape[0] - 1, self.factor.shape[1]
         for i0 in reversed(range(0, n, bw)):

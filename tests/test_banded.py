@@ -126,9 +126,9 @@ class TestArrowFactor:
     )
     def test_sample_has_precision_q(self, mesh_rows, draws):
         # U x = z with z standard normal gives cov(x) = Q^{-1}; check the map
-        # itself is U^{-1} by comparing with a dense triangular solve. Blocks
-        # of the solve are bw rows; a lattice band has bw = 2 * cols, so an
-        # odd row count (like n = 18, bw = 4) leaves a short last block
+        # itself is U^{-1} by comparing with a dense triangular solve. The
+        # solve runs in blocks of bw rows; a lattice band has bw = 2 * cols, so
+        # an odd row count leaves a short last block, as n = 18, bw = 4 does
         if mesh_rows is None:
             a, b, s, _, rng = self.make_blocks(seed=7)
             ab = _banded.from_sparse(a, 4)

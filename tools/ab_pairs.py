@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seconds": seconds,
         "seeds": args.seeds,
-        "checkouts": {s: {"path": str(p), "revision": revision(p)} for s, p in checkouts.items()},
+        "revisions": {side: revision(path) for side, path in checkouts.items()},
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
         "summary": summarize(runs, directions),
         "runs": runs,
