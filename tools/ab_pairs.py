@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -88,6 +89,14 @@ def summarize(runs: dict, directions: dict) -> dict:
     return out
 
 
+def dumps(report: dict) -> str:
+    """Indented JSON with each list of plain values on one line."""
+    text = json.dumps(report, indent=1)
+    # JSON strings hold no raw newline, so only the indentation is joined
+    return re.sub(r"\[\n\s+([^\[\]{}]*?)\n\s*\]",
+                  lambda m: "[" + re.sub(r",\n\s*", ", ", m[1]) + "]", text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout of the baseline")
@@ -97,6 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs")
 
     bench = json.loads((args.base / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
@@ -123,7 +134,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     out = args.out or Path(f"BENCH_{args.workload}.json")
-    out.write_text(json.dumps(report, indent=1) + "\n")
+    out.write_text(dumps(report) + "\n")
     for name, s in report["summary"].items():
         print(f"{name}: base {s['base']['median']:.4g} [{s['base']['q1']:.4g}, "
               f"{s['base']['q3']:.4g}] -> head {s['head']['median']:.4g} "
