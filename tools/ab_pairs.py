@@ -1,12 +1,12 @@
 """Alternating A/B runs of the benchmark in two source checkouts.
 
     python3 tools/ab_pairs.py --base DIR --head DIR --workload NAME \
-        --seeds 11-20 [--seconds 20] [--out BENCH_NAME.json]
+        --seeds 11-20 [--out BENCH_NAME.json]
 
 Each seed is one pair: ``perfbench/run.py --trace 0`` runs once in each
 checkout with that seed, the base first in even pairs and the head first in
-odd ones, so a drift in host load falls on both sides alike. ``--seconds``
-defaults to ``run_seconds`` in the base checkout's ``BENCHMARK.json``.
+odd ones, so a drift in host load falls on both sides alike. Every run
+lasts ``run_seconds`` from the base checkout's ``BENCHMARK.json``.
 
 The output JSON holds every run's end-to-end metrics, correctness and host
 line (cores, affinity, BLAS threads, versions); per side, the median and
@@ -103,14 +103,13 @@ def main(argv=None) -> int:
     parser.add_argument("--head", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 11-20")
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two pairs")
 
     bench = json.loads((args.base / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs = {"base": [], "head": []}
