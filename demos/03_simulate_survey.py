@@ -68,9 +68,11 @@ def main() -> None:
     print(f"total points: {survey.points.n}")
 
     eff = survey.effects
-    print(f"\ntrue effects: mu0 {eff.mu0:+.2f}, beta_depth {eff.beta[0]:+.3f}, "
-          f"gamma {eff.gamma:+.2f}")
-    print(f"campaign shifts mu_t: {np.array2string(eff.mu_t, precision=2)}")
+    true = dict(zip(spec.dense_names, eff.dense))
+    mu_t = np.array([true[f"mu[{t}]"] for t in (1, 2, 3)])
+    print(f"\ntrue effects: mu0 {true['mu0']:+.2f}, beta_depth {true['depth']:+.3f}, "
+          f"gamma {true['gamma']:+.2f}")
+    print(f"campaign shifts mu_t: {np.array2string(mu_t, precision=2)}")
     print(f"field: sd {eff.w.std():.2f} across the mesh "
           f"(marginal target {scn.hyper.sigma})")
 

@@ -84,10 +84,6 @@ class BandedChol:
         """Solve R @ x = b."""
         return self._solve_tri(b, "N")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A @ x = b."""
-        return self.solve_r(self.solve_rt(b))
-
     def _block(self, i0: int, j0: int, rows: int, cols: int) -> np.ndarray:
         """R[i0:i0 + rows, j0:j0 + cols] as a view with leading dimension bw;
         only the entries inside the band are R's."""

@@ -390,12 +390,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.out_dir / "points.csv", write_points, survey.points)
     eff = survey.effects
-    truth = [("mu0", _fmt(eff.mu0))]
-    truth += [(f"beta.{name}", _fmt(b)) for name, b in zip(spec.covariates, eff.beta)]
-    if spec.include_poceanica:
-        truth.append(("gamma", _fmt(eff.gamma)))
-    for t, mu in enumerate(eff.mu_t, start=1):
-        truth.append((f"mu[{t}]", _fmt(mu)))
+    # a covariate's coefficient is named as its [simulate] key, beta.<name>
+    truth = [
+        (f"beta.{name}" if kind == "covariate" else name, _fmt(value))
+        for (name, kind), value in zip(spec.dense_columns, eff.dense)
+    ]
     if spec.include_field:
         truth += [("sigma", _fmt(hyper.sigma)), ("rho", _fmt(hyper.rho))]
     _atomic_write(cfg.out_dir / "truth.csv", _write_csv, ["name", "value"], truth)

@@ -6,7 +6,8 @@ effects the counts are independent Poissons with mean alpha_q lambda(s_q)
 sum over campaigns and cells of N_q log(alpha_q lambda) - alpha_q lambda.
 
 Fitting splits the latent vector u into the field block w (large, banded
-precision) and the dense block d = (mu0, beta, gamma, mu_t) (small). For a
+precision) and the dense block d (small), laid out as
+``ModelSpec.dense_columns``: intercept, covariates, gamma, mu_t. For a
 fixed hyperparameter point theta the posterior mode of u is found by Newton
 with step-halving; because the Poisson Hessian contributes only a diagonal to
 the w block, each step factors an arrowhead matrix (banded + dense border)
@@ -241,10 +242,11 @@ class _Inner:
         self.n_w = like.n_mesh
         self.m = like.n_dense
         prior = np.full(self.m, self.spec.fixed_prec)
-        if self.spec.has_campaign_effects:
+        campaign = self.spec.dense_mask("campaign")
+        if campaign.any():
             if tau is None:
                 raise ValueError("campaign models need tau")
-            prior[self.m - self.spec.n_campaigns :] = tau
+            prior[campaign] = tau
         self.dense_prior = prior
 
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
@@ -476,7 +478,8 @@ class _Explorer:
 class PosteriorDraws:
     """A posterior draws of the hyperparameters and all latent effects.
 
-    ``dense`` is (A, n_dense) in ``spec.dense_names`` order; ``w`` is
+    ``dense`` is (A, n_dense), one column per entry of the column table
+    ``spec.dense_columns``; ``effect_draws`` reads one by name. ``w`` is
     (A, mesh.n) (zero columns for field-free models); ``log_hyper`` is
     (A, n_hyper) in ``spec.hyper_names`` order.
     """
@@ -502,13 +505,9 @@ class PosteriorDraws:
             return np.exp(self.log_hyper[:, hypers.index(f"log_{name}")])
         raise KeyError(f"unknown effect {name!r}")
 
-    def effects_at(self, a: int) -> EffectVector:
-        w = self.w[a] if self.spec.include_field else np.zeros(0)
-        return EffectVector.from_dense(self.spec, self.dense[a], w)
-
     def mean_effects(self) -> EffectVector:
         w = self.w.mean(axis=0) if self.spec.include_field else np.zeros(0)
-        return EffectVector.from_dense(self.spec, self.dense.mean(axis=0), w)
+        return EffectVector(dense=self.dense.mean(axis=0), w=w)
 
 
 def _default_theta0(spec: ModelSpec) -> np.ndarray:
@@ -641,16 +640,10 @@ def summarize(draws: PosteriorDraws) -> FitSummary:
 
     Hyperparameters are reported on their natural scales (sigma, rho, tau).
     """
-    spec = draws.spec
-    names = list(spec.dense_names)
-    cols = [draws.dense[:, i] for i in range(spec.n_dense)]
-    for j, log_name in enumerate(spec.hyper_names):
-        names.append(log_name.removeprefix("log_"))
-        cols.append(np.exp(draws.log_hyper[:, j]))
-    mat = np.column_stack(cols)
+    mat = np.column_stack([draws.dense, np.exp(draws.log_hyper)])
     q = np.quantile(mat, [0.05, 0.5, 0.95], axis=0)
     return FitSummary(
-        names=names,
+        names=draws.spec.row_names,
         mean=mat.mean(axis=0),
         sd=mat.std(axis=0, ddof=1),
         q05=q[0],

@@ -10,6 +10,14 @@ GMRF shared by all campaigns, and mu_t exchangeable Gaussian campaign effects
 (present only when the model spans two or more campaigns). Every term except
 the intercept is optional, which is what makes model sweeps possible.
 
+Every term but w is a dense effect: one column of the cell design times one
+coefficient. ``ModelSpec.dense_columns`` is the only place that decides their
+order and meaning, a table of (name, kind) pairs in design order: "mu0"
+(kind "intercept"), one column per covariate named after it ("covariate"),
+"gamma" ("effort") and "mu[1]".."mu[T]" ("campaign"). The design, the prior,
+the intensity decomposition, the simulated truth and every output read the
+layout from that table.
+
 Priors: independent N(0, 1/fixed_prec) on mu0, beta and gamma; a PC prior on
 the field's (sigma, rho); mu_t ~ N(0, 1/tau) with a Gamma(tau_shape,
 tau_rate) prior on the precision tau.
@@ -52,26 +60,45 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_campaigns < 1:
             raise ValueError("a model needs at least one campaign")
-        if len(set(self.covariates)) != len(self.covariates):
-            raise ValueError("duplicate covariate names")
+        # a covariate named like another effect or a hyperparameter would
+        # make its summary row, its draws and its kind ambiguous
+        names = self.row_names
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(
+                f"model {self.model_id!r}: effect names repeat: {', '.join(repeated)}"
+            )
 
     @property
     def has_campaign_effects(self) -> bool:
         return self.n_campaigns >= 2
 
     @property
-    def dense_names(self) -> list[str]:
-        """Order of the densely coupled effects: intercept, betas, gamma, mu_t."""
-        names = ["mu0"] + list(self.covariates)
+    def dense_columns(self) -> tuple[tuple[str, str], ...]:
+        """(name, kind) of each dense effect, in design order.
+
+        Kinds: "intercept" (mu0), "covariate" (one beta per covariate, named
+        after it, in ``covariates`` order), "effort" (gamma, on the meadow
+        indicator) and "campaign" (mu[1]..mu[T], with two or more campaigns).
+        """
+        cols = [("mu0", "intercept")] + [(name, "covariate") for name in self.covariates]
         if self.include_poceanica:
-            names.append("gamma")
+            cols.append(("gamma", "effort"))
         if self.has_campaign_effects:
-            names += [f"mu[{t}]" for t in range(1, self.n_campaigns + 1)]
-        return names
+            cols += [(f"mu[{t}]", "campaign") for t in range(1, self.n_campaigns + 1)]
+        return tuple(cols)
+
+    @property
+    def dense_names(self) -> list[str]:
+        return [name for name, _ in self.dense_columns]
 
     @property
     def n_dense(self) -> int:
-        return len(self.dense_names)
+        return len(self.dense_columns)
+
+    def dense_mask(self, *kinds: str) -> np.ndarray:
+        """Boolean mask of the dense columns whose kind is one of ``kinds``."""
+        return np.array([kind in kinds for _, kind in self.dense_columns])
 
     @property
     def hyper_names(self) -> list[str]:
@@ -83,53 +110,23 @@ class ModelSpec:
             names.append("log_tau")
         return names
 
+    @property
+    def row_names(self) -> list[str]:
+        """Summary rows: the dense effects, then the hyperparameters on their
+        natural scales (sigma, rho, tau)."""
+        return self.dense_names + [name.removeprefix("log_") for name in self.hyper_names]
+
 
 @dataclass
 class EffectVector:
     """One realization of all model effects.
 
-    ``w`` lives on the mesh (length mesh.n, or 0 for field-free models);
-    ``mu_t`` has length n_campaigns when campaign effects are present, else 0.
+    ``dense`` holds the dense effects in ``spec.dense_names`` order; ``w``
+    the field on the mesh (length mesh.n, or 0 for field-free models).
     """
 
-    mu0: float
-    beta: np.ndarray
-    gamma: float
-    mu_t: np.ndarray
+    dense: np.ndarray
     w: np.ndarray
-
-    @classmethod
-    def zeros(cls, spec: ModelSpec, n_mesh: int = 0) -> "EffectVector":
-        n_w = n_mesh if spec.include_field else 0
-        n_t = spec.n_campaigns if spec.has_campaign_effects else 0
-        return cls(
-            mu0=0.0,
-            beta=np.zeros(len(spec.covariates)),
-            gamma=0.0,
-            mu_t=np.zeros(n_t),
-            w=np.zeros(n_w),
-        )
-
-    def pack_dense(self, spec: ModelSpec) -> np.ndarray:
-        parts = [np.atleast_1d(self.mu0), self.beta]
-        if spec.include_poceanica:
-            parts.append(np.atleast_1d(self.gamma))
-        if spec.has_campaign_effects:
-            parts.append(self.mu_t)
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_dense(cls, spec: ModelSpec, dense: np.ndarray, w: np.ndarray) -> "EffectVector":
-        p = len(spec.covariates)
-        mu0 = float(dense[0])
-        beta = dense[1 : 1 + p].copy()
-        pos = 1 + p
-        gamma = 0.0
-        if spec.include_poceanica:
-            gamma = float(dense[pos])
-            pos += 1
-        mu_t = dense[pos:].copy() if spec.has_campaign_effects else np.zeros(0)
-        return cls(mu0=mu0, beta=beta, gamma=gamma, mu_t=mu_t, w=w)
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,10 @@ class CellDesign:
     in 1..T order; ``rows[t]`` is campaign t's slice of them. ``cell_ids``
     holds each row's flat grid cell id and ``mesh_index`` its mesh node
     (empty when the model has no field). ``weight`` is the cell area, the
-    quadrature weight of every row. ``x`` (N x n_dense) holds the columns
-    multiplying the dense effects, in ``spec.dense_names`` order: intercept,
-    covariates, meadow indicator z, campaign one-hot.
+    quadrature weight of every row. ``x`` (N x n_dense) has one column per
+    entry of ``spec.dense_columns``, filled by its kind: ones (intercept),
+    the covariate's values (covariate), the meadow indicator z (effort), or
+    the campaign's one-hot rows (campaign).
     """
 
     cell_ids: np.ndarray
@@ -182,16 +180,16 @@ def build_design(
     cell_ids = np.concatenate(ids)
 
     x = np.zeros((cell_ids.size, spec.n_dense))
-    x[:, 0] = 1.0
-    for j, name in enumerate(spec.covariates, start=1):
-        x[:, j] = stack.values_at(name, cell_ids)
-    pos = 1 + len(spec.covariates)
-    if spec.include_poceanica:
-        x[:, pos] = stack.z_at(cell_ids)
-        pos += 1
-    if spec.has_campaign_effects:
-        for t, r in rows.items():
-            x[r, pos + t - 1] = 1.0
+    campaign_rows = iter(rows.values())  # campaign columns and rows are both in 1..T order
+    for j, (name, kind) in enumerate(spec.dense_columns):
+        if kind == "intercept":
+            x[:, j] = 1.0
+        elif kind == "covariate":
+            x[:, j] = stack.values_at(name, cell_ids)
+        elif kind == "effort":
+            x[:, j] = stack.z_at(cell_ids)
+        else:
+            x[next(campaign_rows), j] = 1.0
 
     mesh_index = mesh.grid_to_mesh[cell_ids] if spec.include_field else np.zeros(0, dtype=int)
     return CellDesign(
@@ -211,16 +209,12 @@ def decompose_intensity(
     Returns "spatial" exp(mu0 + x'beta + w), "campaign" exp(mu_t) and
     "effort" exp(gamma z); "intensity" is their product.
     """
-    dense = eff.pack_dense(spec)
-    names = spec.dense_names
-    effort = np.array([name == "gamma" for name in names])
-    campaign = np.array([name.startswith("mu[") for name in names])
-    spatial = ~(effort | campaign)
+    spatial = spec.dense_mask("intercept", "covariate")
     no_field = np.zeros_like(eff.w)
     parts = {
-        "spatial": np.exp(design.eta(dense * spatial, eff.w)),
-        "campaign": np.exp(design.eta(dense * campaign, no_field)),
-        "effort": np.exp(design.eta(dense * effort, no_field)),
+        "spatial": np.exp(design.eta(eff.dense * spatial, eff.w)),
+        "campaign": np.exp(design.eta(eff.dense * spec.dense_mask("campaign"), no_field)),
+        "effort": np.exp(design.eta(eff.dense * spec.dense_mask("effort"), no_field)),
     }
     parts["intensity"] = parts["spatial"] * parts["campaign"] * parts["effort"]
     return parts

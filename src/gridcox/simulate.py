@@ -11,7 +11,7 @@ seeded generator reproduces the survey exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,9 @@ class Scenario:
     ``spec`` fixes the model structure. ``mu0``, ``beta`` and ``gamma`` are
     the true fixed effects (beta in ``spec.covariates`` order). For field
     models ``hyper`` gives the true (sigma, rho); for multi-campaign models
-    either ``tau`` (effects drawn as N(0, 1/tau)) or explicit ``mu_t``.
+    either ``tau`` (effects drawn as N(0, 1/tau)) or explicit ``mu_t``. The
+    survey's true dense vector takes these values by the kind of each column
+    of ``spec.dense_columns``.
     """
 
     stack: CovariateStack
@@ -78,6 +80,18 @@ class SimulatedSurvey:
         return int(np.sum(self.points.campaign == t))
 
 
+def _truth_dense(scn: Scenario, mu_t) -> np.ndarray:
+    """The true dense effects, each column filled by its kind; ``mu_t`` gives
+    the campaign effects (None without them)."""
+    values = {
+        "intercept": iter([scn.mu0]),
+        "covariate": iter(scn.beta),
+        "effort": iter([scn.gamma]),
+        "campaign": iter(() if mu_t is None else mu_t),
+    }
+    return np.array([next(values[kind]) for _, kind in scn.spec.dense_columns], dtype=float)
+
+
 def _draw_effects(scn: Scenario, mesh: LatticeMesh | None, rng: np.random.Generator) -> EffectVector:
     spec = scn.spec
     if spec.include_field:
@@ -85,16 +99,10 @@ def _draw_effects(scn: Scenario, mesh: LatticeMesh | None, rng: np.random.Genera
         w = sample_field(prec, 1, rng)[0]
     else:
         w = np.zeros(0)
-    if spec.has_campaign_effects:
-        if scn.mu_t is not None:
-            mu_t = np.asarray(scn.mu_t, dtype=float)
-        else:
-            mu_t = rng.normal(0.0, 1.0 / math.sqrt(scn.tau), size=spec.n_campaigns)
-    else:
-        mu_t = np.zeros(0)
-    return EffectVector(
-        mu0=scn.mu0, beta=np.asarray(scn.beta, dtype=float), gamma=scn.gamma, mu_t=mu_t, w=w
-    )
+    mu_t = scn.mu_t
+    if spec.has_campaign_effects and mu_t is None:
+        mu_t = rng.normal(0.0, 1.0 / math.sqrt(scn.tau), size=spec.n_campaigns)
+    return EffectVector(dense=_truth_dense(scn, mu_t), w=w)
 
 
 def simulate_lgcp(scn: Scenario, rng: np.random.Generator) -> SimulatedSurvey:
@@ -103,7 +111,7 @@ def simulate_lgcp(scn: Scenario, rng: np.random.Generator) -> SimulatedSurvey:
     eff = _draw_effects(scn, mesh, rng)
     grid = scn.stack.grid
     design = build_design(scn.spec, scn.stack, scn.campaign_domains, mesh)
-    log_lam = design.eta(eff.pack_dense(scn.spec), eff.w)
+    log_lam = design.eta(eff.dense, eff.w)
     mean = np.exp(log_lam) * design.weight
     xs, ys, ts = [], [], []
     for t, rows in design.rows.items():
@@ -134,7 +142,7 @@ def expected_count(scn: Scenario, effects: EffectVector | None = None) -> dict[i
     mesh = scn.build_mesh()
     design = build_design(spec, scn.stack, scn.campaign_domains, mesh)
     if effects is not None:
-        lam = np.exp(design.eta(effects.pack_dense(spec), effects.w))
+        lam = np.exp(design.eta(effects.dense, effects.w))
         return {t: float(lam[rows].sum() * design.weight) for t, rows in design.rows.items()}
 
     field_corr = math.exp(scn.hyper.sigma**2 / 2.0) if spec.include_field else 1.0
@@ -144,11 +152,8 @@ def expected_count(scn: Scenario, effects: EffectVector | None = None) -> dict[i
         campaign_corr = [math.exp(m) for m in scn.mu_t]
     else:
         campaign_corr = [1.0]
-    base = replace(
-        EffectVector.zeros(spec, mesh.n if mesh is not None else 0),
-        mu0=scn.mu0, beta=np.asarray(scn.beta, dtype=float), gamma=scn.gamma,
-    )
-    lam = np.exp(design.eta(base.pack_dense(spec), base.w))
+    base = _truth_dense(scn, mu_t=np.zeros(spec.n_campaigns))
+    lam = np.exp(design.eta(base, np.zeros(mesh.n if mesh is not None else 0)))
     return {
         t: float(lam[rows].sum() * design.weight) * field_corr * campaign_corr[t - 1]
         for t, rows in design.rows.items()

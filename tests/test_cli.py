@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from gridcox.cli import RunConfig, UsageError, main
-from gridcox.geodata import RasterGrid, load_raster, read_points, write_raster
+from gridcox.geodata import (
+    PointPattern,
+    RasterGrid,
+    load_raster,
+    read_points,
+    write_points,
+    write_raster,
+)
 
 CONFIG = """\
 [data]
@@ -144,6 +151,22 @@ class TestConfig:
         )
         assert main(["fit", "--config", str(tmp_path / "run.ini")]) == 2
         assert "salinity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "crossval"])
+    def test_covariate_named_like_an_effect(self, tmp_path, capsys, command):
+        # a raster declared as covariate.gamma would share its row with the meadow effect
+        build_workspace(tmp_path)
+        cfg = (tmp_path / "run.ini").read_text()
+        cfg = cfg.replace("covariate.depth = depth.asc", "covariate.gamma = depth.asc")
+        (tmp_path / "run.ini").write_text(cfg.replace("model = m_field", "model = m_g"))
+        (tmp_path / "models.csv").write_text(
+            "model_id,covariates,poceanica,field\nm_g,gamma,1,0\n"
+        )
+        (tmp_path / "out").mkdir()
+        write_points(PointPattern(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)),
+                     tmp_path / "out" / "points.csv")
+        assert main([command, "--config", str(tmp_path / "run.ini")]) == 2
+        assert "effect names repeat: gamma" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -496,22 +496,23 @@ class TestDic:
         draws = fit(like, n_draws=40, rng=np.random.default_rng(12))
         res = compute_dic(like, draws)
 
-        def deviance(eff):
+        def deviance(dense):
+            eff = dict(zip(spec.dense_names, dense))
             total = 0.0
             for t in range(1, 10):
                 cells = campaign_domains[t].cell_ids
                 eta = (
-                    eff.mu0
-                    + eff.beta[0] * stack.values_at("depth", cells)
-                    + eff.gamma * stack.z_at(cells)
-                    + eff.mu_t[t - 1]
+                    eff["mu0"]
+                    + eff["depth"] * stack.values_at("depth", cells)
+                    + eff["gamma"] * stack.z_at(cells)
+                    + eff[f"mu[{t}]"]
                 )
                 y = like.y[like.design.rows[t]]
                 total += poisson.logpmf(y, stack.grid.cell_area * np.exp(eta)).sum()
             return -2.0 * total
 
-        dbar = np.mean([deviance(draws.effects_at(a)) for a in range(draws.n_draws)])
-        d_hat = deviance(draws.mean_effects())
+        dbar = np.mean([deviance(draws.dense[a]) for a in range(draws.n_draws)])
+        d_hat = deviance(draws.mean_effects().dense)
         assert res.dbar == pytest.approx(dbar, rel=1e-10)
         assert res.d_hat == pytest.approx(d_hat, rel=1e-10)
         assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-6)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from gridcox.geodata import PointPattern
 from gridcox.gmrf import LatticeMesh, PcPriorSpec
+from gridcox.inference import _Inner, bin_points
 from gridcox.model import EffectVector, ModelSpec, build_design, decompose_intensity
 
 PC = PcPriorSpec(rho0=50.0, p_rho=0.5, sigma0=0.5, p_sigma=0.01)
@@ -28,6 +30,10 @@ class TestModelSpec:
         assert names[3] == "gamma"
         assert names[4:] == [f"mu[{t}]" for t in range(1, 10)]
         assert spec.n_dense == 13
+        kinds = [kind for _, kind in spec.dense_columns]
+        assert kinds == ["intercept", "covariate", "covariate", "effort"] + ["campaign"] * 9
+        assert [name for name, _ in spec.dense_columns] == names
+        np.testing.assert_array_equal(spec.dense_mask("campaign"), [False] * 4 + [True] * 9)
 
     def test_single_campaign_has_no_campaign_effects(self):
         spec = ModelSpec(covariates=(), n_campaigns=1, include_field=False)
@@ -39,34 +45,43 @@ class TestModelSpec:
         assert full_spec().hyper_names == ["log_sigma", "log_rho", "log_tau"]
         glm = ModelSpec(include_field=False, n_campaigns=3)
         assert glm.hyper_names == ["log_tau"]
+        assert full_spec().row_names[-3:] == ["sigma", "rho", "tau"]
 
     def test_duplicate_covariates_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(covariates=("depth", "depth"))
 
+    @pytest.mark.parametrize(
+        "covariate, kwargs",
+        [
+            ("gamma", dict(include_poceanica=True)),
+            ("mu0", dict()),
+            ("mu[2]", dict(n_campaigns=3)),
+            ("sigma", dict(include_field=True)),
+            ("tau", dict(include_field=False, n_campaigns=2)),
+        ],
+        ids=["gamma", "mu0", "mu-t", "sigma", "tau"],
+    )
+    def test_covariate_named_like_another_row_rejected(self, covariate, kwargs):
+        with pytest.raises(ValueError, match="names repeat"):
+            ModelSpec(covariates=(covariate,), **kwargs)
 
-class TestEffectVector:
-    def test_pack_unpack_round_trip(self):
-        spec = full_spec()
-        rng = np.random.default_rng(0)
-        dense = rng.standard_normal(spec.n_dense)
-        w = rng.standard_normal(25)
-        eff = EffectVector.from_dense(spec, dense, w)
-        assert eff.mu0 == dense[0]
-        assert eff.gamma == dense[3]
-        np.testing.assert_array_equal(eff.beta, dense[1:3])
-        np.testing.assert_array_equal(eff.mu_t, dense[4:])
-        np.testing.assert_array_equal(eff.pack_dense(spec), dense)
+    def test_covariate_may_take_a_name_the_model_does_not_use(self):
+        spec = ModelSpec(covariates=("gamma", "sigma"), include_poceanica=False,
+                         include_field=False)
+        assert spec.dense_names == ["mu0", "gamma", "sigma"]
 
-    def test_zeros_shapes(self):
-        spec = full_spec()
-        eff = EffectVector.zeros(spec, n_mesh=40)
-        assert eff.w.shape == (40,)
-        assert eff.mu_t.shape == (9,)
-        glm = ModelSpec(include_field=False, n_campaigns=1)
-        eff2 = EffectVector.zeros(glm, n_mesh=40)
-        assert eff2.w.shape == (0,)
-        assert eff2.mu_t.shape == (0,)
+
+class TestDensePrior:
+    def test_tau_on_campaign_columns_only(self, stack, domains):
+        d, _, _ = domains
+        spec = ModelSpec(covariates=("depth",), include_field=False, n_campaigns=3)
+        no_points = PointPattern(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+        like = bin_points(spec, stack, {1: d, 2: d, 3: d}, no_points)
+        prior = _Inner(like, None, tau=7.0).dense_prior
+        campaign = [name.startswith("mu[") for name in spec.dense_names]
+        assert sum(campaign) == 3
+        np.testing.assert_array_equal(prior, np.where(campaign, 7.0, spec.fixed_prec))
 
 
 class TestDesignAndIntensity:
@@ -77,19 +92,19 @@ class TestDesignAndIntensity:
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(1)
-        eff = EffectVector.from_dense(
-            spec, rng.standard_normal(spec.n_dense), rng.standard_normal(mesh.n)
-        )
-        got = design.eta(eff.pack_dense(spec), eff.w)
+        dense, w = rng.standard_normal(spec.n_dense), rng.standard_normal(mesh.n)
+        got = design.eta(dense, w)
         assert got.shape == (sum(doms[t].cell_ids.size for t in doms),)
+        eff = dict(zip(spec.dense_names, dense))
+        beta = np.array([eff[n] for n in spec.covariates])
         for t in (1, 3, 8):
             cells = doms[t].cell_ids
             manual = (
-                eff.mu0
-                + np.column_stack([stack.values_at(n, cells) for n in spec.covariates]) @ eff.beta
-                + eff.gamma * stack.z_at(cells)
-                + eff.w[mesh.grid_to_mesh[cells]]
-                + eff.mu_t[t - 1]
+                eff["mu0"]
+                + np.column_stack([stack.values_at(n, cells) for n in spec.covariates]) @ beta
+                + eff["gamma"] * stack.z_at(cells)
+                + w[mesh.grid_to_mesh[cells]]
+                + eff[f"mu[{t}]"]
             )
             np.testing.assert_array_equal(design.cell_ids[design.rows[t]], cells)
             np.testing.assert_allclose(got[design.rows[t]], manual, rtol=1e-12)
@@ -131,8 +146,8 @@ class TestDesignAndIntensity:
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(2)
-        eff = EffectVector.from_dense(
-            spec, 0.1 * rng.standard_normal(spec.n_dense), 0.1 * rng.standard_normal(mesh.n)
+        eff = EffectVector(
+            dense=0.1 * rng.standard_normal(spec.n_dense), w=0.1 * rng.standard_normal(mesh.n)
         )
         parts = decompose_intensity(spec, eff, design)
         np.testing.assert_allclose(
@@ -141,17 +156,18 @@ class TestDesignAndIntensity:
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            np.log(parts["intensity"]), design.eta(eff.pack_dense(spec), eff.w), rtol=1e-10
+            np.log(parts["intensity"]), design.eta(eff.dense, eff.w), rtol=1e-10
         )
-        np.testing.assert_allclose(parts["campaign"][design.rows[7]], math.exp(eff.mu_t[6]))
+        mu_7 = eff.dense[spec.dense_names.index("mu[7]")]
+        np.testing.assert_allclose(parts["campaign"][design.rows[7]], math.exp(mu_7))
 
     def test_effort_factor_only_inside_meadow(self, stack, domains):
         d, d1, _ = domains
         spec = full_spec()
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         design = build_design(spec, stack, {t: d for t in range(1, 10)}, mesh)
-        eff = EffectVector.zeros(spec, mesh.n)
-        eff.gamma = -0.4
+        eff = EffectVector(dense=np.zeros(spec.n_dense), w=np.zeros(mesh.n))
+        eff.dense[spec.dense_names.index("gamma")] = -0.4
         parts = decompose_intensity(spec, eff, design)
         in_d1 = d1.included.ravel()[design.cell_ids]
         np.testing.assert_allclose(parts["effort"][in_d1], math.exp(-0.4))
@@ -162,6 +178,5 @@ class TestDesignAndIntensity:
         spec = ModelSpec(covariates=("depth",), include_field=False, n_campaigns=2)
         design = build_design(spec, stack, {1: d, 2: d}, mesh=None)
         assert design.mesh_index.size == 0
-        eff = EffectVector.zeros(spec)
-        out = design.eta(eff.pack_dense(spec), eff.w)
+        out = design.eta(np.zeros(spec.n_dense), np.zeros(0))
         np.testing.assert_allclose(out, 0.0)

@@ -112,7 +112,7 @@ class TestEffects:
         )
         rng = np.random.default_rng(23)
         survey = simulate_lgcp(scn, rng)
-        assert survey.effects.mu_t.shape == (5,)
+        assert survey.effects.dense[spec.dense_mask("campaign")].shape == (5,)
         # lognormal correction: E[N] = |D| e^mu0 e^(1/(2 tau))
         ec = expected_count(scn)
         assert ec[1] == pytest.approx(d.area * math.exp(-6.0) * math.exp(1 / 8.0), rel=1e-9)
