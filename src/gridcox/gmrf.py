@@ -12,11 +12,13 @@ field, computed from its spectral density. Dividing by J makes sigma the
 exact stationary marginal standard deviation, not an approximation, so the
 usual boundary/continuum corrections are unnecessary away from the halo.
 
-Q is a stencil: its non-zero upper diagonals (offsets 0, 1, 2, C - 1, C,
-C + 1, 2C on a lattice of C columns) combine the same diagonals of I, G and
-G @ G, and products with Q run on them. The 2-D DCT-II diagonalizes G
-(Strang, SIAM Rev. 1999), so log det Q has a closed form. The full banded
-layout is built only where a Cholesky needs it.
+Q is a stencil: its non-zero diagonals (offsets 0, 1, 2, C - 1, C, C + 1,
+2C on a lattice of C columns) combine the same diagonals of I, G and G @ G,
+and products with Q run on them. Each is held as LAPACK's lower band storage
+holds it, the k-th diagonal in its first n - k entries. The 2-D DCT-II
+diagonalizes G (Strang, SIAM Rev. 1999), so log det Q has a closed form. The
+full lower band (``_banded``'s layout) is built only where a Cholesky needs
+it, by one assignment of the stencil rows.
 """
 
 from __future__ import annotations
@@ -174,17 +176,18 @@ class LatticeMesh:
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """Offsets of the non-zero upper diagonals of G @ G, ascending."""
+        """Offsets k >= 0 of the non-zero diagonals of G @ G, ascending."""
         c = self.cols
         return np.unique([0, 1, 2, c - 1, c, c + 1, 2 * c])
 
     @cached_property
     def templates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, G, G @ G) as their upper diagonals at ``offsets``: row i of each
-        holds the diagonal at offset k = offsets[i], entry A[j - k, j] in column j."""
+        """(I, G, G @ G) as their diagonals at ``offsets``, in the rows of lower
+        band storage: row i of each holds the diagonal at offset k = offsets[i],
+        entry A[j + k, j] in column j < n - k, and zeros in the last k columns."""
         g = self._stiffness
         mats = (sp.identity(self.n, format="csr"), g, g @ g)
-        return tuple(np.array([np.pad(a.diagonal(k), (k, 0)) for k in self.offsets]) for a in mats)
+        return tuple(np.array([np.pad(a.diagonal(k), (0, k)) for k in self.offsets]) for a in mats)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -198,7 +201,7 @@ class LatticeMesh:
 
 @dataclass
 class SparsePrecision:
-    """Precision Q of the field on a mesh: ``diags`` holds its non-zero upper
+    """Precision Q of the field on a mesh: ``diags`` holds its non-zero
     diagonals in the layout of ``LatticeMesh.templates``; ``logdet`` is log det Q."""
 
     mesh: LatticeMesh
@@ -211,19 +214,20 @@ class SparsePrecision:
 
     @property
     def ab(self) -> np.ndarray:
-        """Q in full upper-banded storage (bandwidth 2C), as a new column-major
-        array, the order LAPACK reads: ``_banded.BandedChol`` factors it in place."""
-        bw = self.mesh.bandwidth
-        ab = np.zeros((bw + 1, self.n), order="F")
-        ab[bw - self.mesh.offsets] = self.diags
+        """Q in full lower-banded storage (bandwidth 2C, ``ab[i - j, j] = Q[i, j]``,
+        diagonal in row 0), as a new column-major array, the order LAPACK reads:
+        ``_banded.BandedChol`` factors it in place. ``diags`` already has the
+        rows' layout, so row k = offsets[i] is ``diags[i]``."""
+        ab = np.zeros((self.mesh.bandwidth + 1, self.n), order="F")
+        ab[self.mesh.offsets] = self.diags
         return ab
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Q @ x, one pass over each non-zero diagonal."""
         y = self.diags[0] * x
         for k, d in zip(self.mesh.offsets[1:], self.diags[1:]):
-            y[:-k] += d[k:] * x[k:]
-            y[k:] += d[k:] * x[:-k]
+            y[:-k] += d[:-k] * x[k:]
+            y[k:] += d[:-k] * x[:-k]
         return y
 
     def quadform(self, x: np.ndarray) -> float:
@@ -254,7 +258,8 @@ def sample_field(
     """Draw zero-mean fields on the mesh; shape (n_draws, mesh.n)."""
     factor = _banded.BandedChol(prec.ab)
     z = rng.standard_normal((prec.n, n_draws))
-    # the level-2 solve, not ArrowFactor's blockwise one: simulated surveys
-    # are built from these draws and keep their rounding
+    # the level-2 solve, not ArrowFactor's blockwise one. Its rounding differs
+    # from that of the upper-storage solve it replaced, yet the simulated
+    # points of every field-bearing benchmark replicate stayed byte-identical
     draws = factor.solve_r(z)
     return np.ascontiguousarray(draws.T)

@@ -248,6 +248,7 @@ class _Inner:
                 raise ValueError("campaign models need tau")
             prior[campaign] = tau
         self.dense_prior = prior
+        self.n_factors = 0
 
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
         quad = float(np.dot(self.dense_prior * u_d, u_d))
@@ -270,6 +271,7 @@ class _Inner:
 
     def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
         """Factor of the negated Hessian (prior precision + Poisson weights)."""
+        self.n_factors += 1
         x, idx = self.design.x, self.design.mesh_index
         w = self.like.poisson_mean(self.design.eta(u_d, u_w))
         s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
@@ -279,7 +281,7 @@ class _Inner:
             [np.bincount(idx, weights=w * x[:, j], minlength=self.n_w) for j in range(self.m)]
         )
         ab = self.prec.ab
-        ab[-1] += np.bincount(idx, weights=w, minlength=self.n_w)
+        ab[0] += np.bincount(idx, weights=w, minlength=self.n_w)
         try:
             return _banded.ArrowFactor(ab, b, s)
         except np.linalg.LinAlgError as err:
@@ -380,6 +382,7 @@ class _Explorer:
         self.warm_d = warm_d
         self.n_evals = 0
         self.newton_iters = 0
+        self.factorizations = 0
 
     def _unpack(self, theta: np.ndarray):
         """(hyper, tau) from theta = (log sigma, log rho, log tau), each part if present."""
@@ -413,6 +416,7 @@ class _Explorer:
         inner = _inner_at(self.like, *self._unpack(theta))
         u_w, u_d, factor, iters = inner.newton(self.warm_w, self.warm_d)
         self.newton_iters += iters
+        self.factorizations += inner.n_factors
         # Laplace: loglik + prior kernel + 0.5 logdet Q_prior - 0.5 logdet H
         logdet_prior = float(np.sum(np.log(inner.dense_prior)))
         if self.spec.include_field:
@@ -432,6 +436,7 @@ class _Explorer:
     def factor_at(self, point: _ThetaPoint):
         """Rebuild the Gaussian approximation's factor at a cached mode."""
         inner = _inner_at(self.like, *self._unpack(point.theta))
+        self.factorizations += 1
         return inner._hessian_factor(point.u_w, point.u_d)
 
     def hill_climb(
@@ -535,7 +540,8 @@ def fit(
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
     (``axis_sd``) and the hyperparameters whose sd the bounds changed
-    (``axis_clipped``).
+    (``axis_clipped``). ``factorizations`` counts the Hessian factors built,
+    by Newton and for sampling at the grid points.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -589,6 +595,7 @@ def fit(
         diagnostics={
             "n_evals": explorer.n_evals,
             "newton_iters": explorer.newton_iters,
+            "factorizations": explorer.factorizations,
             "grid_points": len(points),
             "grid_delta": delta,
             "axis_sd": sd,

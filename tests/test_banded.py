@@ -18,37 +18,52 @@ def random_banded_spd(n, bw, rng):
     return a
 
 
+def from_sparse(a, bw):
+    """Lower-banded storage of a symmetric sparse (or dense) matrix."""
+    n = a.shape[0]
+    ab = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        ab[k, : n - k] = a.diagonal(-k)
+    return ab
+
+
+def quadform(ab, x):
+    """x.T @ A @ x for symmetric banded A."""
+    return float(np.dot(x, _banded.matvec(ab, x)))
+
+
 def band_to_dense(ab, symmetric=True):
-    """Dense matrix of upper-banded storage: the symmetric A, or only its
-    upper triangle (a triangular factor R)."""
-    bw = ab.shape[0] - 1
-    upper = sum(np.diag(ab[bw - k, k:], k) for k in range(bw + 1))
-    return upper + np.triu(upper, 1).T if symmetric else upper
+    """Dense matrix of lower-banded storage: the symmetric A, or only its
+    lower triangle (a triangular factor L)."""
+    n = ab.shape[1]
+    lower = sum(np.diag(ab[k, : n - k], -k) for k in range(ab.shape[0]))
+    return lower + np.tril(lower, -1).T if symmetric else lower
 
 
 class TestBandedStorage:
     def test_from_sparse_round_trip(self):
         rng = np.random.default_rng(0)
         a = random_banded_spd(12, 3, rng)
-        ab = _banded.from_sparse(a, 3)
+        ab = from_sparse(a, 3)
         assert ab.shape == (4, 12)
-        np.testing.assert_allclose(ab[-1], np.diag(a))
-        np.testing.assert_allclose(ab[-2][1:], np.diag(a, 1))
+        np.testing.assert_allclose(ab[0], np.diag(a))
+        np.testing.assert_allclose(ab[1][:-1], np.diag(a, -1))
+        np.testing.assert_array_equal(band_to_dense(ab), a)
 
     def test_matvec_and_quadform(self):
         rng = np.random.default_rng(1)
         a = random_banded_spd(15, 4, rng)
-        ab = _banded.from_sparse(a, 4)
+        ab = from_sparse(a, 4)
         x = rng.standard_normal(15)
         np.testing.assert_allclose(_banded.matvec(ab, x), a @ x, rtol=1e-12)
-        assert _banded.quadform(ab, x) == pytest.approx(x @ a @ x, rel=1e-12)
+        assert quadform(ab, x) == pytest.approx(x @ a @ x, rel=1e-12)
 
 
 class TestBandedChol:
     def test_solve_and_logdet(self):
         rng = np.random.default_rng(2)
         a = random_banded_spd(20, 5, rng)
-        chol = _banded.BandedChol(_banded.from_sparse(a, 5))
+        chol = _banded.BandedChol(from_sparse(a, 5))
         b = rng.standard_normal(20)
         x = chol.solve_r(chol.solve_rt(b))
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10)
@@ -57,7 +72,7 @@ class TestBandedChol:
     def test_triangular_solves_compose(self):
         rng = np.random.default_rng(3)
         a = random_banded_spd(10, 3, rng)
-        chol = _banded.BandedChol(_banded.from_sparse(a, 3))
+        chol = _banded.BandedChol(from_sparse(a, 3))
         b = rng.standard_normal(10)
         y = chol.solve_rt(b)
         x = chol.solve_r(y)
@@ -66,16 +81,16 @@ class TestBandedChol:
     def test_multiple_rhs(self):
         rng = np.random.default_rng(4)
         a = random_banded_spd(10, 2, rng)
-        chol = _banded.BandedChol(_banded.from_sparse(a, 2))
+        chol = _banded.BandedChol(from_sparse(a, 2))
         b = rng.standard_normal((10, 3))
         x = chol.solve_r(chol.solve_rt(b))
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10)
 
-    @pytest.mark.parametrize("row, col", [(5, 9), (2, 9)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("row, col", [(0, 9), (3, 6)], ids=["diagonal", "off-diagonal"])
     def test_nan_in_band_raises(self, row, col):
         # LAPACK's pbtrf can report success on a NaN band; the check must not
         a = random_banded_spd(12, 5, np.random.default_rng(8))
-        ab = np.asfortranarray(_banded.from_sparse(a, 5))
+        ab = np.asfortranarray(from_sparse(a, 5))
         ab[row, col] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             _banded.BandedChol(ab)
@@ -87,7 +102,7 @@ class TestBandedChol:
         assert np.shares_memory(_banded.BandedChol(ab).factor, ab)
 
     def test_c_ordered_band_is_left_unchanged(self):
-        ab = _banded.from_sparse(random_banded_spd(12, 3, np.random.default_rng(9)), 3)
+        ab = from_sparse(random_banded_spd(12, 3, np.random.default_rng(9)), 3)
         assert ab.flags.c_contiguous
         kept = ab.copy()
         chol = _banded.BandedChol(ab)
@@ -107,7 +122,7 @@ class TestArrowFactor:
 
     def test_logdet_and_solve_match_dense(self):
         a, b, s, q, rng = self.make_blocks()
-        arrow = _banded.ArrowFactor(_banded.from_sparse(a, 4), b, s)
+        arrow = _banded.ArrowFactor(from_sparse(a, 4), b, s)
         assert arrow.logdet == pytest.approx(np.linalg.slogdet(q)[1], rel=1e-10)
         rhs = rng.standard_normal(q.shape[0])
         x_w, x_d = arrow.solve(rhs[:18], rhs[18:])
@@ -116,8 +131,8 @@ class TestArrowFactor:
 
     def test_factor_reconstructs_q(self):
         a, b, s, q, _ = self.make_blocks(seed=6)
-        arrow = _banded.ArrowFactor(_banded.from_sparse(a, 4), b, s)
-        r = band_to_dense(arrow.rw.factor, symmetric=False)
+        arrow = _banded.ArrowFactor(from_sparse(a, 4), b, s)
+        r = band_to_dense(arrow.rw.factor, symmetric=False).T
         u = np.block([[r, arrow.x], [np.zeros((3, 18)), arrow.ls.T]])
         np.testing.assert_allclose(u.T @ u, q, rtol=1e-9, atol=1e-9)
 
@@ -133,17 +148,17 @@ class TestArrowFactor:
         # an odd row count leaves a short last block, as n = 18, bw = 4 does
         if mesh_rows is None:
             a, b, s, _, rng = self.make_blocks(seed=7)
-            ab = _banded.from_sparse(a, 4)
+            ab = from_sparse(a, 4)
         else:
             rng = np.random.default_rng(7)
             mesh = LatticeMesh(mesh_rows - 2, 3, 1.0, 1.0, halo=1)
             ab = build_precision(mesh, MaternHyper(1.0, 2.0)).ab
-            ab[-1] += rng.uniform(0.5, 2.0, mesh.n)  # Poisson weights, as in the Hessian
+            ab[0] += rng.uniform(0.5, 2.0, mesh.n)  # Poisson weights, as in the Hessian
             b = rng.standard_normal((mesh.n, 3))
             s = b.T @ np.linalg.solve(band_to_dense(ab), b) + 3.0 * np.eye(3)
         n, m = b.shape
         arrow = _banded.ArrowFactor(ab, b, s)
-        r = band_to_dense(arrow.rw.factor, symmetric=False)
+        r = band_to_dense(arrow.rw.factor, symmetric=False).T
         u = np.block([[r, arrow.x], [np.zeros((m, n)), arrow.ls.T]])
         z = rng.standard_normal((n + m, draws))
         ref = solve_triangular(u, z, lower=False)

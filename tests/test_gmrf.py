@@ -14,6 +14,7 @@ from gridcox.gmrf import (
     lattice_variance_factor,
     sample_field,
 )
+from test_banded import from_sparse, quadform
 
 
 def dense_stiffness(mesh):
@@ -127,7 +128,7 @@ class TestPrecision:
         k2m = h.kappa**2 * m
         base = (k2m * sp.eye(mesh.n) + g).tocsr()
         scale = lattice_variance_factor(h.kappa, mesh.dx, mesh.dy) / h.sigma**2
-        direct = _banded.from_sparse((scale * (base @ base)).tocsr(), mesh.bandwidth)
+        direct = from_sparse((scale * (base @ base)).tocsr(), mesh.bandwidth)
         np.testing.assert_allclose(q.ab, direct, rtol=1e-12, atol=1e-12)
 
     def test_marginal_sd_matches_sigma(self):
@@ -164,7 +165,7 @@ class TestPrecision:
         x = np.linspace(-1, 1, mesh.n)
         dense = np.linalg.inv(q.dense_covariance())
         np.testing.assert_allclose(_banded.matvec(q.ab, x), dense @ x, rtol=1e-8, atol=1e-10)
-        assert _banded.quadform(q.ab, x) == pytest.approx(x @ dense @ x, rel=1e-8)
+        assert quadform(q.ab, x) == pytest.approx(x @ dense @ x, rel=1e-8)
 
 
 # (grid rows, grid cols, dx, dy, halo): square and non-square cells, halo 1-3;
@@ -192,7 +193,7 @@ class TestStencil:
         ref = _banded.matvec(q.ab, x)
         err = np.max(np.abs(q.matvec(x) - ref)) / np.max(np.abs(ref))
         assert err <= STENCIL_RTOL
-        assert q.quadform(x) == pytest.approx(_banded.quadform(q.ab, x), rel=STENCIL_RTOL)
+        assert q.quadform(x) == pytest.approx(quadform(q.ab, x), rel=STENCIL_RTOL)
 
     def test_logdet_matches_cholesky(self, dims, sigma_rho):
         mesh = LatticeMesh(*dims)
@@ -217,7 +218,25 @@ def test_square_cells_assemble_exactly():
     kap2m = h.kappa**2 * mesh.dx * mesh.dy
     scale = lattice_variance_factor(h.kappa, mesh.dx, mesh.dy) / h.sigma**2
     dense = scale * (kap2m**2 * np.eye(mesh.n) + (2.0 * kap2m) * g + g @ g)
-    assert np.array_equal(q.ab, _banded.from_sparse(dense, mesh.bandwidth))
+    assert np.array_equal(q.ab, from_sparse(dense, mesh.bandwidth))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 1.0, 1.0, 1), (3, 3, 2.0, 1.0, 1)],
+                         ids=["even-rows", "odd-rows"])
+def test_band_rows_are_subdiagonals(dims):
+    # oracle: Q from the stencil's products with unit vectors; row k of the
+    # lower band is Q's k-th subdiagonal, zero-padded at the end
+    mesh = LatticeMesh(*dims)
+    prec = build_precision(mesh, MaternHyper(sigma=1.3, rho=3.0))
+    n = mesh.n
+    q = np.column_stack([prec.matvec(e) for e in np.eye(n)])
+    ab = prec.ab
+    assert ab.shape == (mesh.bandwidth + 1, n)
+    for k in range(mesh.bandwidth + 1):
+        assert np.array_equal(ab[k, : n - k], np.diagonal(q, -k))
+        assert not ab[k, n - k :].any()
+    ref = np.linalg.slogdet(q)[1]
+    assert _banded.BandedChol(prec.ab).logdet == pytest.approx(ref, rel=1e-12)
 
 
 class TestSampling:

@@ -416,12 +416,8 @@ class TestOneBlasThread:
         assert (after.hits, after.misses) == (info.hits + 2, info.misses)
 
 
-def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch):
-    # oracle: OpenBLAS's own thread-count getter, read inside every banded
-    # Cholesky of a small-mesh field fit and again after the fit returns
-    controls = inference._openblas_threads()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
+def small_field_like(stack, campaign_domains):
+    """A field model's likelihood on the fixture grid's mesh with a 2-cell halo."""
     d = campaign_domains[8]
     spec = ModelSpec(
         covariates=(), include_poceanica=False, include_field=True, n_campaigns=1, pc_prior=PC
@@ -432,7 +428,34 @@ def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch)
     )
     survey = simulate_lgcp(scn, np.random.default_rng(5))
     mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2)
-    like = bin_points(spec, stack, {1: d}, survey.points, mesh=mesh)
+    return bin_points(spec, stack, {1: d}, survey.points, mesh=mesh)
+
+
+def test_fit_records_every_banded_factorization(stack, campaign_domains, monkeypatch):
+    # oracle: the BandedChol constructions during the fit, counted from outside
+    like = small_field_like(stack, campaign_domains)
+    calls = []
+    chol_init = _banded.BandedChol.__init__
+
+    def counting_init(self, ab):
+        calls.append(1)
+        chol_init(self, ab)
+
+    monkeypatch.setattr(_banded.BandedChol, "__init__", counting_init)
+    draws = fit(like, n_draws=20, rng=np.random.default_rng(0))
+    diag = draws.diagnostics
+    assert diag["factorizations"] == len(calls)
+    # a factor per Newton step, plus at least one per grid point drawn from
+    assert diag["factorizations"] > diag["newton_iters"]
+
+
+def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch):
+    # oracle: OpenBLAS's own thread-count getter, read inside every banded
+    # Cholesky of a small-mesh field fit and again after the fit returns
+    controls = inference._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    like = small_field_like(stack, campaign_domains)
     seen = []
     chol_init = _banded.BandedChol.__init__
 
