@@ -12,10 +12,10 @@ and the input is consumed. A C-ordered input is copied once and left as it
 was.
 
 The lower layout is the cheaper one to factor. With one OpenBLAS 0.3.31
-thread on a 2-core x86-64 host, ``pbtrf`` took 25.7 ms in place of 41.3 ms
+thread on a 2-core x86-64 host, ``pbtrf`` took 24.8 ms in place of 38.7 ms
 for the upper layout on the 96 x 96 mesh's band (n = 9216, bw = 192), and
-1.16 ms in place of 1.28 ms at n = 1024, bw = 64; the factors' diagonals
-agreed to 1.1e-16. ``dtbtrs`` costs the same in both layouts.
+1.15 ms against 1.16 ms at n = 1024, bw = 64; the two factors' diagonals
+agreed to 7.8e-16 relative. ``dtbtrs`` costs about the same in both layouts.
 
 Column-major band storage is also a dense column-major matrix with leading
 dimension ``bw``: entry (i, j) of the band sits at flat position
