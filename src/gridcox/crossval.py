@@ -368,7 +368,9 @@ def run_study(
     them again, to busy-wait after this call has returned.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
-    run in a process pool. On Linux its workers are forked from the caller:
+    run in a process pool of at most one worker per fold fit
+    (``len(specs) * n_folds``): a forked pool starts all its workers at once,
+    however few tasks it gets. On Linux its workers are forked from the caller:
     they start with its imported modules and its count of one thread, start
     no OpenBLAS threads of their own, and do not re-run its main module, so
     a script needs no guard. Elsewhere nothing pins OpenBLAS, and the
@@ -400,7 +402,7 @@ def run_study(
     summaries: dict[str, FitSummary] = {}
     failures: dict[str, list[str]] = {}
     results: dict[tuple[int, int], np.ndarray] = {}
-    workers = max(1, workers)
+    workers = max(1, min(workers, len(specs) * n_folds))
     if workers > 1:
         # kept after the study: forked workers inherit the count of 1, and
         # the caller's OpenBLAS threads, stopped by the fork, stay stopped

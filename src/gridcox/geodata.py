@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,13 +106,13 @@ class RasterGrid:
         ).copy()
 
     def cell_of_points(self, x, y) -> np.ndarray:
-        """Flat cell id per point, -1 for points outside the grid extent."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        c = np.floor((x - self.origin_x) / self.cell_dx).astype(int)
-        r = np.floor((y - self.origin_y) / self.cell_dy).astype(int)
+        """Flat cell id per point, -1 for points outside the grid extent or not
+        finite (compared as floats, so that only ids in range are cast)."""
+        c = np.floor((np.asarray(x, dtype=float) - self.origin_x) / self.cell_dx)
+        r = np.floor((np.asarray(y, dtype=float) - self.origin_y) / self.cell_dy)
         ok = (c >= 0) & (c < self.n_cols) & (r >= 0) & (r < self.n_rows)
-        out = np.where(ok, r * self.n_cols + c, -1)
+        out = np.full(ok.shape, -1)
+        out[ok] = r[ok].astype(int) * self.n_cols + c[ok].astype(int)
         return out
 
     def aligned_with(self, other: "RasterGrid") -> bool:
@@ -152,13 +153,6 @@ class DomainMask:
     @property
     def cell_ids(self) -> np.ndarray:
         return np.flatnonzero(self.included.ravel())
-
-    def contains_points(self, x, y) -> np.ndarray:
-        cells = self.grid.cell_of_points(x, y)
-        inside = cells >= 0
-        out = np.zeros_like(inside)
-        out[inside] = self.included.ravel()[cells[inside]]
-        return out
 
     def difference(self, other: "DomainMask") -> "DomainMask":
         self.grid.require_aligned(other.grid, "mask")
@@ -512,7 +506,7 @@ def _code_for_label(legend: dict[int, str], label: str) -> int:
 
 
 def read_points(path) -> PointPattern:
-    """Read a points CSV with header ``x,y,campaign``."""
+    """Read a points CSV with header ``x,y,campaign``; coordinates must be finite."""
     xs: list[float] = []
     ys: list[float] = []
     ts: list[int] = []
@@ -522,11 +516,14 @@ def read_points(path) -> PointPattern:
             raise ValueError(f"{path}: points file must have header x,y,campaign")
         for lineno, row in enumerate(reader, start=2):
             try:
-                xs.append(float(row["x"]))
-                ys.append(float(row["y"]))
-                ts.append(int(row["campaign"]))
+                x, y, t = float(row["x"]), float(row["y"]), int(row["campaign"])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {lineno}: bad point record") from None
+            xs.append(x)
+            ys.append(y)
+            ts.append(t)
     return PointPattern(np.array(xs), np.array(ys), np.array(ts, dtype=int))
 
 

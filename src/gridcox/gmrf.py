@@ -1,24 +1,24 @@
 """Matern (nu = 1) Gaussian Markov random field on a raster lattice.
 
-The field is discretized on the raster's own grid, extended by a halo of
-extra cells so the artificial mesh boundary sits far from the data. With
-kappa = sqrt(8) / rho the precision is
+The field lives on the raster's grid plus a halo of cells that keeps the mesh
+boundary far from the data. With kappa = sqrt(8) / rho its precision is
 
     Q = (J(kappa) / sigma^2) * (kappa^2 m I + G)^2,    m = dx * dy,
 
-where G is the lattice stiffness matrix (horizontal edge weight dy/dx,
-vertical dx/dy) and J(kappa) the infinite-lattice variance of the unscaled
-field, computed from its spectral density. Dividing by J makes sigma the
-exact stationary marginal standard deviation, not an approximation, so the
-usual boundary/continuum corrections are unnecessary away from the halo.
+G the lattice stiffness matrix (edge weight a = dy/dx across columns, b =
+dx/dy across rows) and J(kappa) the unscaled field's variance on the infinite
+lattice, so that sigma is the exact stationary marginal sd.
 
-Q is a stencil: its non-zero diagonals (offsets 0, 1, 2, C - 1, C, C + 1,
-2C on a lattice of C columns) combine the same diagonals of I, G and G @ G,
-and products with Q run on them. Each is held as LAPACK's lower band storage
-holds it, the k-th diagonal in its first n - k entries. The 2-D DCT-II
-diagonalizes G (Strang, SIAM Rev. 1999), so log det Q has a closed form. The
-full lower band (``_banded``'s layout) is built only where a Cholesky needs
-it, by one assignment of the stencil rows.
+Q is a stencil: products with it run on the diagonals of I, G and G @ G.
+With node j at (r, c) on R x C nodes, deg_c and deg_r 1 on the mesh edge and
+2 inside, and d = a deg_c + b deg_r, entry (j, j + k) is zero where the step
+k stands for leaves the mesh, and otherwise
+
+    G      k = 0: d;  1: -a;  C: -b
+    G @ G  k = 0: d^2 + a^2 deg_c + b^2 deg_r;  1: -a (d_j + d_{j+1});
+           2: a^2;  C - 1, C + 1: 2ab;  C: -b (d_j + d_{j+C});  2C: b^2
+
+DCT-II diagonalizes G (Strang, SIAM Rev. 1999): log det Q has a closed form.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import quad
+from scipy.special import ellipe
 
 from . import _banded
 from .geodata import RasterGrid
@@ -109,24 +108,21 @@ class PcPriorSpec:
 
 
 def lattice_variance_factor(kappa: float, dx: float, dy: float) -> float:
-    """Stationary marginal variance of the field with precision (kappa^2 m I + G)^2.
+    """Stationary marginal variance of the field with precision (kappa^2 m I + G)^2,
 
-    The spectral density on the infinite lattice is 1 / s(w)^2 with
-    s(w) = kappa^2 dx dy + 2 (dy/dx)(1 - cos w1) + 2 (dx/dy)(1 - cos w2);
-    the inner integral over w1 has the closed form c / (c^2 - 4 a^2)^{3/2}
-    with a = dy/dx and c = s evaluated at cos w1 = 0 plus the 2a term, and the
-    outer integral is done numerically.
+        J = 2p E(16/D) / (pi g (g + 4(a + b)) sqrt(D)),
+
+    g = kappa^2 dx dy, p = g + 2(a + b), D = p^2 - 4(a - b)^2 = 16 + g (g + 4(a + b))
+    (ab = 1; this form does not cancel as kappa -> 0), E the complete elliptic
+    integral of the second kind, parameter m. J is the mean of 1 / s(w)^2,
+    s = p - 2a cos w1 - 2b cos w2: over w1 it is -d/dp of (c^2 - 4a^2)^(-1/2),
+    c = p - 2b cos w2, whose mean over w2 is 2K(16/D) / (pi sqrt(D))
+    (Gradshteyn & Ryzhik 3.152); dK/dm turns the p-derivative into E.
     """
-    a = dy / dx
-    b = dx / dy
-    base = kappa * kappa * dx * dy + 2.0 * a
-
-    def outer(w2: float) -> float:
-        c = base + 2.0 * b * (1.0 - math.cos(w2))
-        return c / (c * c - 4.0 * a * a) ** 1.5
-
-    val, _ = quad(outer, -math.pi, math.pi, points=[0.0], limit=200)
-    return val / (2.0 * math.pi)
+    a, b, g = dy / dx, dx / dy, kappa * kappa * dx * dy
+    p = g + 2.0 * (a + b)
+    d = p * p - 4.0 * (a - b) ** 2
+    return 2.0 * p * ellipe(16.0 / d) / (math.pi * g * (g + 4.0 * (a + b)) * math.sqrt(d))
 
 
 class LatticeMesh:
@@ -161,20 +157,6 @@ class LatticeMesh:
         return (r[:, None] * self.cols + c[None, :]).ravel()
 
     @cached_property
-    def _stiffness(self) -> sp.csr_matrix:
-        """G = a (I_R kron L_C) + b (L_R kron I_C), with L_k the path Laplacian
-        on k nodes and edge weights a = dy/dx (horizontal), b = dx/dy (vertical)."""
-
-        def path(k: int) -> sp.dia_matrix:
-            deg = np.full(k, 2.0)
-            deg[[0, -1]] = 1.0
-            return sp.diags([-1.0, deg, -1.0], [-1, 0, 1], shape=(k, k))
-
-        a, b = self.dy / self.dx, self.dx / self.dy
-        g = a * sp.kron(sp.identity(self.rows), path(self.cols))
-        return (g + b * sp.kron(path(self.rows), sp.identity(self.cols))).tocsr()
-
-    @cached_property
     def offsets(self) -> np.ndarray:
         """Offsets k >= 0 of the non-zero diagonals of G @ G, ascending."""
         c = self.cols
@@ -185,9 +167,26 @@ class LatticeMesh:
         """(I, G, G @ G) as their diagonals at ``offsets``, in the rows of lower
         band storage: row i of each holds the diagonal at offset k = offsets[i],
         entry A[j + k, j] in column j < n - k, and zeros in the last k columns."""
-        g = self._stiffness
-        mats = (sp.identity(self.n, format="csr"), g, g @ g)
-        return tuple(np.array([np.pad(a.diagonal(k), (0, k)) for k in self.offsets]) for a in mats)
+        cols, a, b = self.cols, self.dy / self.dx, self.dx / self.dy
+        r, c = np.divmod(np.arange(self.n), cols)
+        deg_c, deg_r = 2.0 - (c == 0) - (c == cols - 1), 2.0 - (r == 0) - (r == self.rows - 1)
+        d = a * deg_c + b * deg_r
+        right, down = c < cols - 1, r < self.rows - 1  # nodes j + 1, j + C exist
+        eye, g, g2 = np.zeros((3, len(self.offsets), self.n))
+        eye[0] = 1.0
+        for k, where, g_k, g2_k in (
+            (0, True, d, d * d + a * a * deg_c + b * b * deg_r),
+            (1, right, -a, -a * (d + np.roll(d, -1))),
+            (2, c < cols - 2, 0.0, a * a),
+            (cols - 1, down & (c > 0), 0.0, 2.0 * a * b),
+            (cols, down, -b, -b * (d + np.roll(d, -cols))),
+            (cols + 1, down & right, 0.0, 2.0 * a * b),
+            (2 * cols, r < self.rows - 2, 0.0, b * b),
+        ):
+            i = np.searchsorted(self.offsets, k)  # 2 and C - 1 coincide at C = 3: add
+            g[i] += np.where(where, g_k, 0.0)
+            g2[i] += np.where(where, g2_k, 0.0)
+        return eye, g, g2
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -234,12 +233,6 @@ class SparsePrecision:
         """x.T @ Q @ x."""
         return float(np.dot(x, self.matvec(x)))
 
-    def dense_covariance(self) -> np.ndarray:
-        """Full inverse; for small meshes (tests, diagnostics) only."""
-        if self.n > 5000:
-            raise ValueError("dense covariance requested for a large mesh")
-        return np.linalg.inv([self.matvec(e) for e in np.eye(self.n)])
-
 
 def build_precision(mesh: LatticeMesh, hyper: MaternHyper) -> SparsePrecision:
     """Assemble Q(sigma, rho) from the mesh templates."""
@@ -258,8 +251,5 @@ def sample_field(
     """Draw zero-mean fields on the mesh; shape (n_draws, mesh.n)."""
     factor = _banded.BandedChol(prec.ab)
     z = rng.standard_normal((prec.n, n_draws))
-    # the level-2 solve, not ArrowFactor's blockwise one. Its rounding differs
-    # from that of the upper-storage solve it replaced, yet the simulated
-    # points of every field-bearing benchmark replicate stayed byte-identical
     draws = factor.solve_r(z)
     return np.ascontiguousarray(draws.T)

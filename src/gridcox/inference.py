@@ -368,7 +368,6 @@ class _ThetaPoint:
     log_post: float
     u_w: np.ndarray
     u_d: np.ndarray
-    n_iter: int
 
 
 class _Explorer:
@@ -428,7 +427,7 @@ class _Explorer:
             - 0.5 * factor.logdet
             + self._log_hyper_prior(theta)
         )
-        point = _ThetaPoint(theta=theta.copy(), log_post=lp, u_w=u_w, u_d=u_d, n_iter=iters)
+        point = _ThetaPoint(theta=theta.copy(), log_post=lp, u_w=u_w, u_d=u_d)
         self.cache[key] = point
         self.warm_w, self.warm_d = u_w, u_d
         return point
@@ -484,9 +483,8 @@ class PosteriorDraws:
     """A posterior draws of the hyperparameters and all latent effects.
 
     ``dense`` is (A, n_dense), one column per entry of the column table
-    ``spec.dense_columns``; ``effect_draws`` reads one by name. ``w`` is
-    (A, mesh.n) (zero columns for field-free models); ``log_hyper`` is
-    (A, n_hyper) in ``spec.hyper_names`` order.
+    ``spec.dense_columns``. ``w`` is (A, mesh.n) (zero columns for field-free
+    models); ``log_hyper`` is (A, n_hyper) in ``spec.hyper_names`` order.
     """
 
     spec: ModelSpec
@@ -500,15 +498,6 @@ class PosteriorDraws:
     @property
     def n_draws(self) -> int:
         return self.dense.shape[0]
-
-    def effect_draws(self, name: str) -> np.ndarray:
-        """Draws of one dense effect or (natural-scale) hyperparameter."""
-        if name in self.spec.dense_names:
-            return self.dense[:, self.spec.dense_names.index(name)]
-        hypers = self.spec.hyper_names
-        if f"log_{name}" in hypers:
-            return np.exp(self.log_hyper[:, hypers.index(f"log_{name}")])
-        raise KeyError(f"unknown effect {name!r}")
 
     def mean_effects(self) -> EffectVector:
         w = self.w.mean(axis=0) if self.spec.include_field else np.zeros(0)

@@ -17,6 +17,7 @@ from gridcox.geodata import (
     campaign_masks,
     habitat_domains,
 )
+from test_geodata import contains_points
 
 LEGEND = {1: "Sandy", 2: "Hard Bottom", 3: "Dead Matte", 4: "Transplanted", 5: "P. oceanica"}
 CAMPAIGN_DOMAIN = {1: "D2", 2: "D2", 3: "D2", 4: "D2", 5: "D2", 6: "D1", 7: "D1", 8: "D", 9: "D"}
@@ -85,7 +86,7 @@ def survey(campaign_domains):
         while got < need:
             x = rng.uniform(0, 300, size=4 * need)
             y = rng.uniform(0, 300, size=4 * need)
-            ok = mask.contains_points(x, y)
+            ok = contains_points(mask, x, y)
             take = min(need - got, int(ok.sum()))
             xs.append(x[ok][:take])
             ys.append(y[ok][:take])

@@ -229,6 +229,14 @@ class TestFit:
         assert main(["fit", "--config", str(tmp_path / "run.ini")]) == 2
         assert "points.csv" in capsys.readouterr().err
 
+    def test_non_finite_point_names_its_line(self, tmp_path, capsys):
+        build_workspace(tmp_path)
+        (tmp_path / "out").mkdir(exist_ok=True)
+        (tmp_path / "out" / "points.csv").write_text("x,y,campaign\n10,10,1\nnan,10,1\n")
+        assert main(["fit", "--config", str(tmp_path / "run.ini")]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: bad point record" in err and "outside" not in err
+
     def test_intercept_only_recovers_density(self, tmp_path):
         # single campaign over D, constant intensity: mu0 ~ log(n / |D|)
         build_workspace(tmp_path)

@@ -288,6 +288,33 @@ class TestRunStudy:
                 np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
             assert one.dic[m].dic == many.dic[m].dic
 
+    def test_pool_has_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
+        # a forked pool starts all its workers at its first task, so 64 workers
+        # for 2 fold fits would fork 62 idle processes; this pool maps in-process
+        stack, doms, points, specs = study_inputs
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(crossval, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(crossval, "_set_one_blas_thread", lambda: [])
+        table = run_study(
+            stack, doms, points, specs[:1], n_folds=2, n_draws=20,
+            partition_dims=(3, 3), seed=15, workers=64,
+        )
+        assert sizes == [2]
+        assert set(table.scores) == {"m_depth"}
+
     @pytest.mark.skipif(
         crossval._MP_CONTEXT.get_start_method() != "fork" or not Path("/proc/self/task").is_dir(),
         reason="needs forked workers and /proc",

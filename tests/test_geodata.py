@@ -19,6 +19,15 @@ from gridcox.geodata import (
 )
 
 
+def contains_points(mask, x, y):
+    """Whether each point lies in an included cell of the mask."""
+    cells = mask.grid.cell_of_points(x, y)
+    inside = cells >= 0
+    out = np.zeros_like(inside)
+    out[inside] = mask.included.ravel()[cells[inside]]
+    return out
+
+
 def make_grid(values, dx=1.0, dy=1.0, x0=0.0, y0=0.0, **kw):
     return RasterGrid(x0, y0, dx, dy, np.asarray(values, dtype=float), **kw)
 
@@ -127,6 +136,13 @@ class TestGridGeometry:
         assert cells[0] == 0
         assert cells[1] == 3  # row 1, col 1
         assert cells[2] == -1  # x == xmax is outside the half-open extent
+
+    def test_non_finite_points_are_outside(self):
+        # no cast of NaN or inf to int: the suite turns its RuntimeWarning into an error
+        grid = make_grid(np.zeros((2, 2)), dx=1.0, dy=1.0)
+        x = [np.nan, np.inf, -np.inf, 0.5, 0.5]
+        cells = grid.cell_of_points(x, [0.5, 0.5, 0.5, np.inf, 1.5])
+        np.testing.assert_array_equal(cells, [-1, -1, -1, -1, 2])
 
     def test_mask_algebra(self):
         grid = make_grid(np.zeros((2, 2)))
@@ -243,6 +259,13 @@ class TestPointsIO:
         path = tmp_path / "pts.csv"
         path.write_text("x,y,campaign\n1.0,2.0,1\n1.0,oops,2\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_points(path)
+
+    @pytest.mark.parametrize("record", ["nan,2.0,1", "1.0,inf,1", "-inf,2.0,2", "1.0,NaN,1"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, record):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x,y,campaign\n1.0,2.0,1\n{record}\n")
+        with pytest.raises(ValueError, match="line 3: bad point record"):
             read_points(path)
 
     def test_campaign_map(self, tmp_path):

@@ -17,6 +17,11 @@ from gridcox.gmrf import (
 from test_banded import from_sparse, quadform
 
 
+def dense_covariance(prec):
+    """Q^-1 of a small mesh's precision, from Q's products with unit vectors."""
+    return np.linalg.inv([prec.matvec(e) for e in np.eye(prec.n)])
+
+
 def dense_stiffness(mesh):
     """G assembled edge by edge: weight dy/dx across columns, dx/dy across rows."""
     g = np.zeros((mesh.n, mesh.n))
@@ -107,8 +112,9 @@ class TestMesh:
 
     def test_stiffness_rows_sum_to_zero(self):
         mesh = LatticeMesh(3, 3, 2.0, 1.0, halo=1)
-        g = mesh._stiffness.toarray()
-        np.testing.assert_allclose(g, dense_stiffness(mesh), rtol=1e-15)
+        g = dense_stiffness(mesh)
+        template = from_sparse(g, mesh.bandwidth)[mesh.offsets]
+        np.testing.assert_allclose(mesh.templates[1], template, rtol=1e-15)
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(g, g.T)
         # horizontal weight dy/dx = 0.5, vertical dx/dy = 2
@@ -118,31 +124,29 @@ class TestMesh:
 
 class TestPrecision:
     def test_template_matches_direct_assembly(self):
-        import scipy.sparse as sp
-
         mesh = LatticeMesh(4, 5, 2.0, 3.0, halo=1)
         h = MaternHyper(sigma=1.3, rho=9.0)
         q = build_precision(mesh, h)
-        g = mesh._stiffness
+        g = dense_stiffness(mesh)
         m = mesh.dx * mesh.dy
         k2m = h.kappa**2 * m
-        base = (k2m * sp.eye(mesh.n) + g).tocsr()
+        base = k2m * np.eye(mesh.n) + g
         scale = lattice_variance_factor(h.kappa, mesh.dx, mesh.dy) / h.sigma**2
-        direct = from_sparse((scale * (base @ base)).tocsr(), mesh.bandwidth)
+        direct = from_sparse(scale * (base @ base), mesh.bandwidth)
         np.testing.assert_allclose(q.ab, direct, rtol=1e-12, atol=1e-12)
 
     def test_marginal_sd_matches_sigma(self):
         # the lattice variance factor makes sigma exact away from the halo
         mesh = LatticeMesh(9, 9, 1.0, 1.0, halo=16)
         h = MaternHyper(sigma=1.7, rho=8.0)
-        cov = build_precision(mesh, h).dense_covariance()
+        cov = dense_covariance(build_precision(mesh, h))
         center = (mesh.rows // 2) * mesh.cols + mesh.cols // 2
         assert math.sqrt(cov[center, center]) == pytest.approx(1.7, rel=5e-3)
 
     def test_marginal_sd_anisotropic_cells(self):
         mesh = LatticeMesh(7, 7, 2.0, 1.0, halo=12)
         h = MaternHyper(sigma=1.0, rho=10.0)
-        cov = build_precision(mesh, h).dense_covariance()
+        cov = dense_covariance(build_precision(mesh, h))
         center = (mesh.rows // 2) * mesh.cols + mesh.cols // 2
         assert math.sqrt(cov[center, center]) == pytest.approx(1.0, rel=5e-3)
 
@@ -150,7 +154,7 @@ class TestPrecision:
         mesh = LatticeMesh(21, 21, 1.0, 1.0, halo=14)
         rho = 8.0
         h = MaternHyper(sigma=1.0, rho=rho)
-        cov = build_precision(mesh, h).dense_covariance()
+        cov = dense_covariance(build_precision(mesh, h))
         center_rc = (mesh.rows // 2, mesh.cols // 2)
         center = center_rc[0] * mesh.cols + center_rc[1]
         at_range = center_rc[0] * mesh.cols + center_rc[1] + int(rho)
@@ -163,7 +167,7 @@ class TestPrecision:
         mesh = LatticeMesh(3, 3, 1.0, 1.0, halo=1)
         q = build_precision(mesh, MaternHyper(1.0, 4.0))
         x = np.linspace(-1, 1, mesh.n)
-        dense = np.linalg.inv(q.dense_covariance())
+        dense = np.linalg.inv(dense_covariance(q))
         np.testing.assert_allclose(_banded.matvec(q.ab, x), dense @ x, rtol=1e-8, atol=1e-10)
         assert quadform(q.ab, x) == pytest.approx(x @ dense @ x, rel=1e-8)
 
@@ -209,6 +213,75 @@ def test_spectrum_is_eigenvalues_of_dense_stiffness(dims):
     np.testing.assert_allclose(np.sort(mesh.spectrum), eig, atol=1e-12 * eig.max())
 
 
+@pytest.mark.parametrize("dims", STENCIL_MESHES)
+def test_templates_match_dense_stiffness(dims):
+    # I, G and G @ G from dense algebra, every other diagonal of the band zero;
+    # square cells give integer entries, so the formulas must match bit for bit
+    mesh = LatticeMesh(*dims)
+    g = dense_stiffness(mesh)
+    for rows, dense in zip(mesh.templates, (np.eye(mesh.n), g, g @ g)):
+        ab = from_sparse(dense, mesh.bandwidth)
+        assert not np.delete(ab, mesh.offsets, axis=0).any()
+        if mesh.dx == mesh.dy:
+            assert np.array_equal(rows, ab[mesh.offsets])
+        else:
+            np.testing.assert_allclose(rows, ab[mesh.offsets], rtol=1e-14, atol=0)
+
+
+def quad_variance_factor(kappa, dx, dy):
+    """J by adaptive quadrature over w2 of the closed-form integral over w1,
+    c / (c^2 - 4a^2)^(3/2), written in e = c - 2a so that it does not cancel."""
+    a, b = dy / dx, dx / dy
+    g = kappa * kappa * dx * dy
+
+    def outer(w2):
+        e = g + 4.0 * b * math.sin(0.5 * w2) ** 2
+        return (e + 2.0 * a) / (e * (e + 4.0 * a)) ** 1.5
+
+    val, _ = quad(outer, 0.0, math.pi, epsabs=0, epsrel=1e-13, limit=500)
+    return val / math.pi
+
+
+def mp_variance_factor(kappa, dx, dy):
+    """J by 40-digit quadrature of c / (c^2 - 4a^2)^(3/2) over w2, the interval
+    cut at decades of the width of the integrand's peak at w2 = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(dy) / dx, mpmath.mpf(dx) / dy
+        g = mpmath.mpf(kappa) ** 2 * dx * dy
+        width = mpmath.sqrt(g / b)
+        cuts = [0] + [width * 10**i for i in range(20) if width * 10**i < 1] + [mpmath.pi]
+
+        def outer(w2):
+            c = g + 2 * a + 2 * b * (1 - mpmath.cos(w2))
+            return c / (c * c - 4 * a * a) ** 1.5
+
+        return float(mpmath.quad(outer, cuts) / mpmath.pi)
+
+
+ASPECTS = [0.2, 1.0, 3.0, 7.0]  # dy / dx
+
+
+@pytest.mark.parametrize("kappa_dx", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("aspect", ASPECTS)
+def test_variance_factor_matches_quadrature(kappa_dx, aspect):
+    dx = 2.5
+    kappa, dy = kappa_dx / dx, aspect * dx
+    ref = quad_variance_factor(kappa, dx, dy)
+    assert lattice_variance_factor(kappa, dx, dy) == pytest.approx(ref, rel=1e-11)
+
+
+@pytest.mark.parametrize("kappa_dx", [1e-6, 1e-4, 1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("aspect", ASPECTS)
+def test_variance_factor_matches_40_digit_quadrature(kappa_dx, aspect):
+    # down to kappa dx = 1e-6, where the integrand over w2 peaks in a width
+    # of about kappa dx and double-precision quadrature loses digits
+    dx = 2.5
+    kappa, dy = kappa_dx / dx, aspect * dx
+    ref = mp_variance_factor(kappa, dx, dy)
+    assert lattice_variance_factor(kappa, dx, dy) == pytest.approx(ref, rel=1e-13)
+
+
 def test_square_cells_assemble_exactly():
     # integer G and G @ G: the per-diagonal combination is the dense one, bit for bit
     mesh = LatticeMesh(3, 4, 5.0, 5.0, halo=2)
@@ -247,7 +320,7 @@ class TestSampling:
         draws = sample_field(q, 20000, rng)
         assert draws.shape == (20000, mesh.n)
         cov = np.cov(draws.T)
-        ref = q.dense_covariance()
+        ref = dense_covariance(q)
         n = draws.shape[0]
         se = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref**2) / n)
         assert np.all(np.abs(cov - ref) < 4.0 * se)
@@ -257,5 +330,5 @@ class TestSampling:
         q = build_precision(mesh, MaternHyper(sigma=0.5, rho=2.0))
         rng = np.random.default_rng(7)
         draws = sample_field(q, 5000, rng)
-        sd = np.sqrt(np.diag(q.dense_covariance()))
+        sd = np.sqrt(np.diag(dense_covariance(q)))
         assert np.all(np.abs(draws.mean(axis=0)) < 4 * sd / math.sqrt(5000))
