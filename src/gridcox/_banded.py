@@ -25,6 +25,21 @@ right-hand sides through the factor at once and runs that back-substitution
 blockwise in ``dtrsm``/``dtrmm``. The solves inside Newton (1 to 3 columns)
 stay on LAPACK ``dtbtrs``, where a Python loop over n / bw blocks would cost
 more than the level-2 solve it replaces.
+
+End elimination. The Poisson weights of a Newton step touch only the lattice
+rows that hold data, so the rows before the first and after the last of them
+(the halo, plus grid rows outside every domain) keep the prior's block
+across the steps of one hyperparameter point. ``EndElimination`` factors
+those two ends once, and each step's ``EndArrowFactor`` factors only the
+middle rows' Schur complement (Rue & Held, GMRFs, 2005, ch. 2): on the 96 x
+96 mesh of a 64-row grid, 64 of the 96 rows. The bottom end is eliminated in
+reverse order, so its coupling to the middle sits in the last bw nodes of its
+factor, as the top end's does in natural order; top-down, L^{-1} of the
+coupling would fill the whole end. The result is the Hessian's solve and log
+determinant up to rounding. Posterior draws still map through the natural
+order factor of the whole lattice: a draw L^{-T} z depends on the
+factorization, and another elimination order gives other (equally valid)
+draws for the same seed.
 """
 
 from __future__ import annotations
@@ -43,6 +58,29 @@ def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     tracer times by this name.
     """
     return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+
+
+def _block(ab: np.ndarray, i0: int, j0: int, rows: int, cols: int) -> np.ndarray:
+    """A[i0:i0 + rows, j0:j0 + cols] of the column-major band ``ab`` as a view
+    with leading dimension bw; only the entries inside the lower band are A's."""
+    bw = ab.shape[0] - 1
+    flat = ab.ravel(order="F")
+    step = flat.itemsize
+    return as_strided(flat[i0 + j0 * bw :], (rows, cols), (step, bw * step))
+
+
+def _lower_band(a: np.ndarray) -> np.ndarray:
+    """A symmetric n x n matrix in column-major band storage with bw = n.
+
+    Entry (i, j), i >= j, has the flat offset i + j * n both in the band and in
+    the matrix's own column-major layout, and the slots of the upper triangle
+    are band slots below the matrix's end. So the band is the lower
+    triangle's flat copy followed by n zeros.
+    """
+    n = a.shape[0]
+    flat = np.zeros((n + 1) * n)
+    flat[: n * n] = np.tril(a).ravel(order="F")
+    return flat.reshape((n + 1, n), order="F")
 
 
 class BandedChol:
@@ -82,14 +120,6 @@ class BandedChol:
         """Solve R @ x = L.T @ x = b."""
         return self._solve_tri(b, "T")
 
-    def _block(self, i0: int, j0: int, rows: int, cols: int) -> np.ndarray:
-        """L[i0:i0 + rows, j0:j0 + cols] as a view with leading dimension bw;
-        only the entries inside the band are L's."""
-        bw = self.factor.shape[0] - 1
-        flat = self.factor.ravel(order="F")
-        step = flat.itemsize
-        return as_strided(flat[i0 + j0 * bw :], (rows, cols), (step, bw * step))
-
     def solve_r_many(self, xt: np.ndarray) -> None:
         """Solve L.T @ x = b in place on xt = b.T, a column-major (k, n) array.
 
@@ -99,19 +129,20 @@ class BandedChol:
         before a short last block), then solves with the lower triangle
         L[I, I] applied from the right.
         """
-        bw, n = self.factor.shape[0] - 1, self.factor.shape[1]
+        lf = self.factor
+        bw, n = lf.shape[0] - 1, lf.shape[1]
         for i0 in reversed(range(0, n, bw)):
             i1 = min(i0 + bw, n)
             if i1 < n:
                 j1 = min(i1 + bw, n)
                 b = j1 - i1
                 done = xt[:, i1:j1]
-                xt[:, i0 : i0 + b] -= dtrmm(1.0, self._block(i1, i0, b, b), done,
+                xt[:, i0 : i0 + b] -= dtrmm(1.0, _block(lf, i1, i0, b, b), done,
                                             side=1, lower=0)
                 if b < bw:
-                    dgemm(-1.0, done, self._block(i1, i0 + b, b, bw - b), beta=1.0,
+                    dgemm(-1.0, done, _block(lf, i1, i0 + b, b, bw - b), beta=1.0,
                           c=xt[:, i0 + b : i1], overwrite_c=1)
-            dtrsm(1.0, self._block(i0, i0, i1 - i0, i1 - i0), xt[:, i0:i1],
+            dtrsm(1.0, _block(lf, i0, i0, i1 - i0, i1 - i0), xt[:, i0:i1],
                   side=1, lower=1, overwrite_b=1)
 
 
@@ -154,3 +185,77 @@ class ArrowFactor:
         dgemm(-1.0, x_d.T, self.x, beta=1.0, c=xt, trans_b=1, overwrite_c=1)
         self.rw.solve_r_many(xt)
         return xt.T, x_d
+
+
+class EndElimination:
+    """The fixed end blocks of a banded matrix, factored once for many middles.
+
+    The matrix is H = [[E_t, K_t, 0], [K_t.T, M, K_b.T], [0, K_b, E_b]] in
+    node order: a top end, a middle of at least bw nodes (so the ends do not
+    touch), and a bottom end. Only M changes between factorizations. The ends come as one band
+    ``ends``: the top end's ``n_top`` nodes in natural order, then the bottom
+    end's in reverse order, with zeros across the junction. ``top`` is the
+    band of the top end's last t = min(bw, n_top) nodes followed by the
+    middle's first bw nodes; ``bottom`` the band of the bottom end's first t
+    nodes and the middle's last bw nodes, in reverse order.
+
+    With E = L_E L_E.T, the non-zero part C of each end's coupling K (t x bw,
+    the end's tail against bw middle nodes) gives X = L_tail^{-1} C, L_tail
+    the last t x t block of the end's factor; the rest of L_E^{-1} K is zero. The middle's Schur
+    complement is M - X_t.T X_t - X_b.T X_b, which ``EndArrowFactor`` factors.
+    """
+
+    def __init__(self, ends: np.ndarray, n_top: int, top: np.ndarray, bottom: np.ndarray):
+        bw, n_end = ends.shape[0] - 1, ends.shape[1]
+        self.n_top = n_top
+        self.chol = BandedChol(ends)
+        t_top, t_bot = top.shape[1] - bw, bottom.shape[1] - bw
+        self.tails = (slice(n_top - t_top, n_top), slice(n_end - t_bot, n_end))
+        x = []
+        for ext, tail in zip((top, bottom), self.tails):
+            t = tail.stop - tail.start
+            coupling = np.triu(_block(ext, t, 0, bw, t), t - bw).T
+            x.append(dtrsm(1.0, _block(self.chol.factor, tail.start, tail.start, t, t),
+                           coupling, lower=1))
+        # the bottom's middle columns in natural order
+        self.x_top, self.x_bottom = x[0], np.asfortranarray(x[1][:, ::-1])
+        self.corrections = (_lower_band(x[0].T @ x[0]), _lower_band((x[1].T @ x[1])[::-1, ::-1]))
+
+
+class EndArrowFactor:
+    """``ArrowFactor`` of H = [[H_ww, B], [B.T, S]] whose w block has the fixed
+    ends of an ``EndElimination``: the middle block M (band ``middle``, border
+    ``b_dense`` on its rows; B is zero on the ends) is factored after the
+    ends' Schur correction, which overwrites ``middle``. Solves and the log
+    determinant are those of the whole H, with x_w in natural node order.
+    """
+
+    def __init__(self, ends: EndElimination, middle: np.ndarray, b_dense: np.ndarray,
+                 s_dense: np.ndarray):
+        bw = middle.shape[0] - 1
+        top, bottom = ends.corrections
+        middle[:, :bw] -= top
+        middle[:, -bw:] -= bottom
+        self.ends = ends
+        self.arrow = ArrowFactor(middle, b_dense, s_dense)
+
+    @property
+    def logdet(self) -> float:
+        return self.ends.chol.logdet + self.arrow.logdet
+
+    def solve(self, b_w: np.ndarray, b_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve H @ (x_w, x_d) = (b_w, b_d): forward through the ends, the
+        middle's right-hand side corrected at its two boundaries, the arrow
+        solve, then back through the ends."""
+        e, (top, bot) = self.ends, self.ends.tails
+        bw = e.x_top.shape[1]
+        p, q = e.n_top, e.n_top + self.arrow.x.shape[0]
+        z = e.chol.solve_rt(np.concatenate([b_w[:p], b_w[q:][::-1]]))
+        b_m = b_w[p:q].copy()
+        b_m[:bw] -= e.x_top.T @ z[top]
+        b_m[-bw:] -= e.x_bottom.T @ z[bot]
+        x_m, x_d = self.arrow.solve(b_m, b_d)
+        z[top] -= e.x_top @ x_m[:bw]
+        z[bot] -= e.x_bottom @ x_m[-bw:]
+        x_e = e.chol.solve_r(z)
+        return np.concatenate([x_e[:p], x_m, x_e[p:][::-1]]), x_d

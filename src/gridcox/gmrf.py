@@ -215,10 +215,20 @@ class SparsePrecision:
     def ab(self) -> np.ndarray:
         """Q in full lower-banded storage (bandwidth 2C, ``ab[i - j, j] = Q[i, j]``,
         diagonal in row 0), as a new column-major array, the order LAPACK reads:
-        ``_banded.BandedChol`` factors it in place. ``diags`` already has the
-        rows' layout, so row k = offsets[i] is ``diags[i]``."""
-        ab = np.zeros((self.mesh.bandwidth + 1, self.n), order="F")
-        ab[self.mesh.offsets] = self.diags
+        ``_banded.BandedChol`` factors it in place."""
+        return self.band(0, self.n)
+
+    def band(self, start: int, stop: int, reverse: bool = False) -> np.ndarray:
+        """The principal block Q[start:stop, start:stop] in the layout of ``ab``,
+        its nodes in reverse order when ``reverse``. ``diags`` already has the
+        rows' layout: row k = offsets[i] of the band is ``diags[i]`` on the
+        range (read backwards when reversed)."""
+        size = stop - start
+        ab = np.zeros((self.mesh.bandwidth + 1, size), order="F")
+        for k, d in zip(self.mesh.offsets, self.diags):
+            if k < size:
+                seg = d[start : stop - k]
+                ab[k, : size - k] = seg[::-1] if reverse else seg
         return ab
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

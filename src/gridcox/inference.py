@@ -11,7 +11,11 @@ precision) and the dense block d (small), laid out as
 fixed hyperparameter point theta the posterior mode of u is found by Newton
 with step-halving; because the Poisson Hessian contributes only a diagonal to
 the w block, each step factors an arrowhead matrix (banded + dense border)
-instead of a general sparse one. The hyperparameters are then integrated over
+instead of a general sparse one. That diagonal, and the border, are zero on
+the mesh rows before the first and after the last row holding a design cell,
+so those end rows are factored once per theta (``_banded.EndElimination``)
+and each step factors only the rows between them. Sampling factors the whole
+lattice in natural order. The hyperparameters are then integrated over
 a small axis-aligned grid around their posterior mode, spaced so the three
 points per axis straddle roughly the central 90% of the Gaussian profile;
 posterior draws pick a grid point by weight, add within-cell jitter on theta,
@@ -148,10 +152,22 @@ class GriddedLikelihood:
     def n_dense(self) -> int:
         return self.spec.n_dense
 
-    @property
+    @functools.cached_property
     def loglik_const(self) -> float:
-        """Terms of the log-likelihood free of eta: sum y log alpha - log y!."""
+        """Terms of the log-likelihood free of eta: sum y log alpha - log y!.
+        Computed once: ``y`` is not changed after ``bin_points``."""
         return float(self.y.sum() * math.log(self.design.weight) - gammaln(self.y + 1.0).sum())
+
+    @functools.cached_property
+    def data_nodes(self) -> slice:
+        """Mesh nodes of the rows from the first to the last that holds a design
+        cell, widened to at least two rows (the band's width) so that the
+        data-free rows before and after them share no entry of the precision.
+        The halo keeps a row after the data to widen into."""
+        cols = self.mesh.cols
+        first = int(self.design.mesh_index.min()) // cols
+        stop = max(int(self.design.mesh_index.max()) // cols + 1, first + 2)
+        return slice(first * cols, stop * cols)
 
     def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
         """Expected count of every row at log-intensities ``eta``."""
@@ -210,14 +226,20 @@ def bin_points(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _positive_definite():
+    """Raise a factorization's ``LinAlgError`` as ``FitError``."""
+    try:
+        yield
+    except np.linalg.LinAlgError as err:
+        raise FitError(f"non-positive-definite Hessian: {err}") from None
+
+
 class _DenseFactor:
     """Dense-only stand-in for the arrowhead factor (field-free models)."""
 
     def __init__(self, s_dense: np.ndarray):
-        try:
-            self.ls = np.linalg.cholesky(s_dense)
-        except np.linalg.LinAlgError as err:
-            raise FitError(f"non-positive-definite Hessian: {err}") from None
+        self.ls = np.linalg.cholesky(s_dense)
 
     @property
     def logdet(self) -> float:
@@ -249,6 +271,7 @@ class _Inner:
             prior[campaign] = tau
         self.dense_prior = prior
         self.n_factors = 0
+        self.n_end_factors = 0
 
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
         quad = float(np.dot(self.dense_prior * u_d, u_d))
@@ -269,23 +292,54 @@ class _Inner:
             g_w -= self.prec.matvec(u_w)
         return g_w, g_d
 
-    def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
-        """Factor of the negated Hessian (prior precision + Poisson weights)."""
+    def _hessian(self, u_w: np.ndarray, u_d: np.ndarray, nodes: slice):
+        """The negated Hessian (prior precision + Poisson weights) as (band of
+        the field block on the mesh ``nodes``, its border with the dense block
+        on those nodes, dense block); the field parts are None without a field.
+        The nodes must hold every design cell. Counts one factorization."""
         self.n_factors += 1
-        x, idx = self.design.x, self.design.mesh_index
+        x, idx = self.design.x, self.design.mesh_index - nodes.start
         w = self.like.poisson_mean(self.design.eta(u_d, u_w))
         s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
         if not self.n_w:
-            return _DenseFactor(s)
+            return None, None, s
+        size = nodes.stop - nodes.start
         b = np.column_stack(
-            [np.bincount(idx, weights=w * x[:, j], minlength=self.n_w) for j in range(self.m)]
+            [np.bincount(idx, weights=w * x[:, j], minlength=size) for j in range(self.m)]
         )
-        ab = self.prec.ab
-        ab[0] += np.bincount(idx, weights=w, minlength=self.n_w)
-        try:
-            return _banded.ArrowFactor(ab, b, s)
-        except np.linalg.LinAlgError as err:
-            raise FitError(f"non-positive-definite Hessian: {err}") from None
+        ab = self.prec.band(nodes.start, nodes.stop)
+        ab[0] += np.bincount(idx, weights=w, minlength=size)
+        return ab, b, s
+
+    def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
+        """Factor of the negated Hessian on the whole lattice, in natural node
+        order: the factor that posterior draws map through."""
+        ab, b, s = self._hessian(u_w, u_d, slice(0, self.n_w))
+        with _positive_definite():
+            return _banded.ArrowFactor(ab, b, s) if self.n_w else _DenseFactor(s)
+
+    @functools.cached_property
+    def _ends(self) -> _banded.EndElimination:
+        """The lattice's data-free end rows, eliminated once for this theta:
+        their Hessian block is the prior's alone."""
+        self.n_factors += 1
+        self.n_end_factors += 1
+        prec, n, nodes = self.prec, self.n_w, self.like.data_nodes
+        bw, p, q = prec.mesh.bandwidth, nodes.start, nodes.stop
+        ends = np.concatenate([prec.band(0, p), prec.band(q, n, reverse=True)], axis=1)
+        top = prec.band(p - min(p, bw), p + bw)
+        bottom = prec.band(q - bw, q + min(n - q, bw), reverse=True)
+        return _banded.EndElimination(ends, p, top, bottom)
+
+    def _newton_factor(self, u_w: np.ndarray, u_d: np.ndarray):
+        """The factor of ``_hessian_factor``, with the end rows eliminated
+        (``_ends``): each Newton step factors only ``like.data_nodes``."""
+        if not self.n_w:
+            return self._hessian_factor(u_w, u_d)
+        with _positive_definite():
+            return _banded.EndArrowFactor(
+                self._ends, *self._hessian(u_w, u_d, self.like.data_nodes)
+            )
 
     def newton(self, u_w: np.ndarray, u_d: np.ndarray):
         """Mode of the latent posterior; returns (u_w, u_d, factor, n_iter)."""
@@ -298,14 +352,14 @@ class _Inner:
             if gnorm < NEWTON_GRAD_TOL:
                 # the factor of the previous step, except after the last one
                 if factor is None or it == NEWTON_MAX_ITER:
-                    factor = self._hessian_factor(u_w, u_d)
+                    factor = self._newton_factor(u_w, u_d)
                 return u_w, u_d, factor, it
             if it == NEWTON_MAX_ITER:
                 raise FitError(
                     f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                     f"(gradient max-norm {gnorm:.3e})"
                 )
-            factor = self._hessian_factor(u_w, u_d)
+            factor = self._newton_factor(u_w, u_d)
             step_w, step_d = factor.solve(g_w, g_d)
             scale = 1.0
             # accept any move within summation noise of the current value:
@@ -382,6 +436,7 @@ class _Explorer:
         self.n_evals = 0
         self.newton_iters = 0
         self.factorizations = 0
+        self.end_factorizations = 0
 
     def _unpack(self, theta: np.ndarray):
         """(hyper, tau) from theta = (log sigma, log rho, log tau), each part if present."""
@@ -416,6 +471,7 @@ class _Explorer:
         u_w, u_d, factor, iters = inner.newton(self.warm_w, self.warm_d)
         self.newton_iters += iters
         self.factorizations += inner.n_factors
+        self.end_factorizations += inner.n_end_factors
         # Laplace: loglik + prior kernel + 0.5 logdet Q_prior - 0.5 logdet H
         logdet_prior = float(np.sum(np.log(inner.dense_prior)))
         if self.spec.include_field:
@@ -529,8 +585,10 @@ def fit(
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
     (``axis_sd``) and the hyperparameters whose sd the bounds changed
-    (``axis_clipped``). ``factorizations`` counts the Hessian factors built,
-    by Newton and for sampling at the grid points.
+    (``axis_clipped``). ``factorizations`` counts the banded factors built:
+    Newton's, the end blocks and those for sampling at the grid points.
+    ``end_factorizations`` counts the end blocks alone, one per theta
+    evaluation of a field model and 0 without a field.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -585,6 +643,7 @@ def fit(
             "n_evals": explorer.n_evals,
             "newton_iters": explorer.newton_iters,
             "factorizations": explorer.factorizations,
+            "end_factorizations": explorer.end_factorizations,
             "grid_points": len(points),
             "grid_delta": delta,
             "axis_sd": sd,

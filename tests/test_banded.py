@@ -165,3 +165,29 @@ class TestArrowFactor:
         x_w, x_d = arrow.sample(z[:n], z[n:])
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), ref, rtol=1e-9)
         assert np.shares_memory(x_w, z)  # the draws overwrite the normals
+
+
+class TestEndElimination:
+    def lattice_blocks(self, seed=11):
+        rng = np.random.default_rng(seed)
+        mesh = LatticeMesh(4, 3, 1.0, 1.0, halo=1)
+        prec = build_precision(mesh, MaternHyper(1.0, 2.0))
+        ab = prec.ab
+        ab[0] += rng.uniform(0.5, 2.0, mesh.n)
+        b = rng.standard_normal((mesh.n, 2))
+        s = b.T @ np.linalg.solve(band_to_dense(ab), b) + 2.0 * np.eye(2)
+        return ab, b, s, rng
+
+    def test_empty_ends_reduce_to_the_arrow_factor(self):
+        # no end rows: the whole band is the middle, and nothing is corrected
+        ab, b, s, rng = self.lattice_blocks()
+        bw, n = ab.shape[0] - 1, ab.shape[1]
+        ends = _banded.EndElimination(np.zeros((bw + 1, 0), order="F"), 0,
+                                      ab[:, :bw].copy(order="F"), ab[:, -bw:].copy(order="F"))
+        assert not ends.corrections[0].any() and not ends.corrections[1].any()
+        reduced = _banded.EndArrowFactor(ends, ab.copy(order="F"), b, s)
+        arrow = _banded.ArrowFactor(ab.copy(order="F"), b, s)
+        assert reduced.logdet == arrow.logdet
+        rhs_w, rhs_d = rng.standard_normal(n), rng.standard_normal(2)
+        for got, want in zip(reduced.solve(rhs_w, rhs_d), arrow.solve(rhs_w, rhs_d)):
+            np.testing.assert_array_equal(got, want)

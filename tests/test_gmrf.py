@@ -312,6 +312,27 @@ def test_band_rows_are_subdiagonals(dims):
     assert _banded.BandedChol(prec.ab).logdet == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("start, stop", [(0, 24), (5, 17), (9, 11), (20, 24)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["natural", "reversed"])
+def test_band_of_a_node_range_is_the_principal_block(start, stop, reverse):
+    # oracle: Q from the stencil's products with unit vectors, its block on
+    # the nodes [start, stop), in reverse order when asked
+    mesh = LatticeMesh(2, 4, 1.0, 2.0, 1)
+    prec = build_precision(mesh, MaternHyper(sigma=1.3, rho=3.0))
+    q = np.column_stack([prec.matvec(e) for e in np.eye(mesh.n)])
+    block = q[start:stop, start:stop]
+    if reverse:
+        block = block[::-1, ::-1]
+    ab = prec.band(start, stop, reverse)
+    assert ab.shape == (mesh.bandwidth + 1, stop - start) and ab.flags.f_contiguous
+    for k in range(mesh.bandwidth + 1):
+        diag = np.diagonal(block, -k)  # empty beyond the block's size
+        assert np.array_equal(ab[k, : diag.size], diag)
+        assert not ab[k, diag.size :].any()
+    if (start, stop) == (0, mesh.n) and not reverse:
+        assert np.array_equal(ab, prec.ab)
+
+
 class TestSampling:
     def test_sample_covariance_matches_inverse(self):
         mesh = LatticeMesh(3, 3, 1.0, 1.0, halo=2)

@@ -17,8 +17,9 @@ from gridcox.inference import (
     inner_objective_grad,
     summarize,
 )
-from gridcox.model import ModelSpec
+from gridcox.model import CellDesign, ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
+from test_banded import band_to_dense
 
 PC = PcPriorSpec(rho0=50.0, p_rho=0.5, sigma0=0.5, p_sigma=0.01)
 
@@ -482,6 +483,136 @@ def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch)
             setter(n)
     assert seen and all(n == 1 for counts in seen for n in counts)
     assert after == [2] * len(controls)
+
+
+def test_fit_counts_one_end_factorization_per_theta(stack, campaign_domains, survey):
+    # the 2-cell halo makes each end exactly one band width (2 mesh rows) long
+    draws = fit(small_field_like(stack, campaign_domains), n_draws=20,
+                rng=np.random.default_rng(0))
+    assert draws.diagnostics["end_factorizations"] == draws.diagnostics["n_evals"]
+    pts = survey.for_campaign(8)
+    glm = bin_points(glm_spec(), stack, {1: campaign_domains[8]},
+                     PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int)))
+    assert fit(glm, n_draws=20, rng=np.random.default_rng(0)).diagnostics[
+        "end_factorizations"] == 0
+
+
+def test_end_elimination_leaves_the_fit_at_rounding_level(stack, campaign_domains, monkeypatch):
+    # oracle: the same fit with Newton factoring the whole lattice in natural order
+    like = small_field_like(stack, campaign_domains)
+
+    def run():
+        points = []
+        evaluate = inference._Explorer.evaluate
+
+        def recording(self, theta):
+            point = evaluate(self, theta)
+            points.append(point)
+            return point
+
+        with monkeypatch.context() as m:
+            m.setattr(inference._Explorer, "evaluate", recording)
+            draws = fit(like, n_draws=200, rng=np.random.default_rng(4))
+        return draws, points
+
+    draws, points = run()
+    monkeypatch.setattr(inference._Inner, "_newton_factor", inference._Inner._hessian_factor)
+    full, full_points = run()
+    for k in ("n_evals", "newton_iters", "grid_points"):
+        assert draws.diagnostics[k] == full.diagnostics[k]
+    assert full.diagnostics["end_factorizations"] == 0
+    assert len(points) == len(full_points)
+    for a, b in zip(points, full_points):
+        np.testing.assert_allclose(a.theta, b.theta, rtol=1e-9)
+        assert a.log_post == pytest.approx(b.log_post, rel=1e-9)
+        u, v = np.concatenate([a.u_w, a.u_d]), np.concatenate([b.u_w, b.u_d])
+        np.testing.assert_allclose(u, v, rtol=1e-9, atol=1e-9 * np.abs(v).max())
+    np.testing.assert_array_equal(draws.theta_mode, full.theta_mode)
+    got, want = summarize(draws), summarize(full)
+    for name in ("mean", "sd", "q05", "q50", "q95"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-9)
+
+
+def lattice_like(mesh, data_rows, seed=0):
+    """A field model's likelihood on ``mesh`` whose cells are the grid rows
+    ``data_rows``, with random meadow indicators and counts."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=1, pc_prior=PC)
+    cells = (np.asarray(data_rows)[:, None] * mesh.grid_cols + np.arange(mesh.grid_cols)).ravel()
+    x = np.column_stack([np.ones(cells.size), rng.integers(0, 2, cells.size)])
+    design = CellDesign(cell_ids=cells, mesh_index=mesh.grid_to_mesh[cells],
+                        weight=mesh.dx * mesh.dy, rows={1: slice(0, cells.size)}, x=x)
+    y = rng.poisson(2.0, cells.size).astype(float)
+    return inference.GriddedLikelihood(spec=spec, mesh=mesh, design=design, y=y)
+
+
+class TestEndElimination:
+    """Newton's factor, with the data-free end rows eliminated, against the
+    dense negated Hessian."""
+
+    MESHES = {
+        # (grid rows, grid cols, dx, dy, halo), grid rows holding data
+        "halo-1-end-shorter-than-band": ((4, 5, 1.0, 1.0, 1), [0, 1, 2, 3]),
+        "halo-2-end-one-band": ((4, 5, 1.0, 1.0, 2), [0, 1, 2, 3]),
+        "rows-ne-cols-dx-ne-dy": ((5, 3, 2.0, 0.5, 3), [0, 1, 2, 3, 4]),
+        "data-free-grid-rows": ((7, 4, 1.0, 1.0, 2), [2, 4]),
+        "single-row-widened": ((5, 4, 1.0, 1.0, 2), [2]),
+        "single-last-row-empty-bottom": ((3, 4, 1.0, 1.0, 1), [2]),
+    }
+
+    def setup(self, dims, data_rows, seed=0):
+        mesh = LatticeMesh(*dims)
+        like = lattice_like(mesh, data_rows, seed)
+        inner = inference._inner_at(like, MaternHyper(sigma=0.6, rho=3.0), None)
+        rng = np.random.default_rng(seed + 1)
+        u_w = rng.normal(0.0, 0.3, mesh.n)
+        u_d = np.array([0.2, -0.4])
+        return like, inner, u_w, u_d
+
+    def dense_hessian(self, like, inner, u_w, u_d):
+        design, n = like.design, like.n_mesh
+        w = like.poisson_mean(design.eta(u_d, u_w))
+        onto = np.zeros((design.n_cells, n))
+        onto[np.arange(design.n_cells), design.mesh_index] = 1.0
+        a = np.column_stack([onto, design.x])
+        h = a.T @ (w[:, None] * a)
+        h[:n, :n] += band_to_dense(inner.prec.ab)
+        h[n:, n:] += np.diag(inner.dense_prior)
+        return h
+
+    @pytest.mark.parametrize("case", list(MESHES))
+    def test_logdet_and_solve_match_dense(self, case):
+        dims, data_rows = self.MESHES[case]
+        like, inner, u_w, u_d = self.setup(dims, data_rows)
+        nodes = like.data_nodes
+        assert nodes.stop - nodes.start >= inner.prec.mesh.bandwidth
+        h = self.dense_hessian(like, inner, u_w, u_d)
+        factor = inner._newton_factor(u_w, u_d)
+        assert isinstance(factor, _banded.EndArrowFactor)
+        assert factor.logdet == pytest.approx(np.linalg.slogdet(h)[1], rel=1e-12)
+        rhs = np.random.default_rng(3).standard_normal(h.shape[0])
+        x_w, x_d = factor.solve(rhs[: like.n_mesh], rhs[like.n_mesh :])
+        np.testing.assert_allclose(np.concatenate([x_w, x_d]), np.linalg.solve(h, rhs),
+                                   rtol=1e-10)
+        assert inner.n_end_factors == 1 and inner.n_factors == 2
+        inner._newton_factor(u_w, u_d)  # the ends are factored once per theta
+        assert inner.n_end_factors == 1 and inner.n_factors == 3
+
+    def test_data_rows_set_the_ends(self):
+        dims, data_rows = self.MESHES["data-free-grid-rows"]
+        like, *_ = self.setup(dims, data_rows)
+        cols = like.mesh.cols
+        assert like.data_nodes == slice(4 * cols, 7 * cols)  # halo 2: mesh rows 4..6
+        dims, data_rows = self.MESHES["single-last-row-empty-bottom"]
+        like, *_ = self.setup(dims, data_rows)
+        assert like.data_nodes == slice(3 * like.mesh.cols, like.mesh.n)
+
+    def test_nan_poisson_weight_is_fit_error(self):
+        dims, data_rows = self.MESHES["halo-2-end-one-band"]
+        like, inner, u_w, u_d = self.setup(dims, data_rows)
+        u_w[like.design.mesh_index[3]] = np.nan
+        with pytest.raises(FitError, match="non-positive-definite"):
+            inner._newton_factor(u_w, u_d)
 
 
 class TestDic:
