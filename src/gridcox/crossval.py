@@ -149,30 +149,40 @@ def validation_residuals(
     unscaled exposures, so its intensity estimates the thinned training rate.
     Returns one (A, G) array over the stacked subsets of all campaigns;
     ``subset_slices(partitions)[t]`` holds campaign t's columns.
+
+    Each campaign's design rows are sorted by subset once, so every subset
+    is one contiguous segment of them. The intensity draws are then made in
+    blocks (``CellDesign.eta_blocks``), exponentiated in place and summed
+    segment by segment (``np.add.reduceat``): memory stays at two blocks of
+    eta, never an (A, N) array.
     """
     design = like.design
-    lam = design.eta(draws.dense, draws.w)
-    np.exp(lam, out=lam)  # (A, N) intensity draws
-    cols = subset_slices(partitions)
-    out = np.empty((lam.shape[0], sum(part.n_subsets for part in partitions.values())))
-    for t, c in cols.items():
-        rows = design.rows[t]
+    order, sizes, counts = [], [], []
+    for t in subset_slices(partitions):
+        rows = np.arange(design.rows[t].start, design.rows[t].stop)
         part = partitions[t]
         g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
         if np.any(g_of_cell < 0):
             raise ValueError(f"campaign {t}: partition does not cover the domain")
-        n_g = part.n_subsets
-        member = np.zeros((g_of_cell.size, n_g))
-        member[np.arange(g_of_cell.size), g_of_cell] = 1.0
+        order.append(rows[np.argsort(g_of_cell, kind="stable")])
+        sizes.append(np.bincount(g_of_cell, minlength=part.n_subsets))
 
         pts = val_points.for_campaign(t)
         g_of_point = part.subset_of_points(pts.x, pts.y)
         if np.any(g_of_point < 0):
             raise ValueError(f"campaign {t}: validation points outside the partition")
-        counts = np.bincount(g_of_point, minlength=n_g).astype(float)
-
-        integral = (lam[:, rows] @ member) * (design.weight / (n_folds - 1))
-        out[:, c] = counts[None, :] - integral
+        counts.append(np.bincount(g_of_point, minlength=part.n_subsets))
+    sizes = np.concatenate(sizes)
+    # a subset without design rows integrates to 0; reduceat would instead
+    # return the row its empty segment starts at, so it sums only the others
+    filled = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    out = np.zeros((draws.n_draws, sizes.size))
+    for a, lam in design.eta_blocks(draws.dense, draws.w, np.concatenate(order)):
+        np.exp(lam, out=lam)
+        out[a, filled] = np.add.reduceat(lam, starts, axis=1)
+    out *= -(design.weight / (n_folds - 1))
+    out += np.concatenate(counts)
     return out
 
 

@@ -721,14 +721,19 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     Deviance is -2 times the Poisson count log-likelihood (constants
     included); the effective parameter count is mean deviance minus the
     deviance at the posterior-mean effects. The log-intensity is linear in
-    the effects, so the plug-in deviance uses the mean of the eta draws.
+    the effects, so that plug-in deviance takes the eta of the mean effects,
+    which equals the mean of the eta draws up to rounding. The mean deviance
+    is accumulated over blocks of draws (``CellDesign.eta_blocks``), so
+    memory stays at two blocks of eta, never an (A, N) array.
     """
-    eta = like.design.eta(draws.dense, draws.w)  # (A, N)
-    d_hat = -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
-    dot_y = eta @ like.y
-    # the intensities overwrite the eta buffer: no second (A, N) array
-    np.exp(eta, out=eta)
-    expected = like.design.weight * eta.sum(axis=1)  # total Poisson mean per draw
-    dbar = -2.0 * (float(np.mean(dot_y - expected)) + like.loglik_const)
+    design = like.design
+    mean = draws.mean_effects()
+    d_hat = -2.0 * like.loglik(design.eta(mean.dense, mean.w), with_const=True)
+    loglik = np.empty(draws.n_draws)  # per draw, without the eta-free constant
+    for a, eta in design.eta_blocks(draws.dense, draws.w):
+        dot_y = eta @ like.y
+        np.exp(eta, out=eta)
+        loglik[a] = dot_y - design.weight * eta.sum(axis=1)
+    dbar = -2.0 * (float(np.mean(loglik)) + like.loglik_const)
     p_d = dbar - d_hat
     return DicResult(dbar=dbar, d_hat=d_hat, p_d=p_d, dic=dbar + p_d)

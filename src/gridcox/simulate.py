@@ -17,6 +17,7 @@ import numpy as np
 
 from .geodata import CovariateStack, DomainMask, PointPattern
 from .gmrf import LatticeMesh, MaternHyper, build_precision, sample_field
+from .inference import _one_blas_thread
 from .model import CellDesign, EffectVector, ModelSpec, build_design
 
 __all__ = ["Scenario", "SimulatedSurvey", "simulate_lgcp", "expected_count"]
@@ -105,8 +106,14 @@ def _draw_effects(scn: Scenario, mesh: LatticeMesh | None, rng: np.random.Genera
     return EffectVector(dense=_truth_dense(scn, mu_t), w=w)
 
 
+@_one_blas_thread()
 def simulate_lgcp(scn: Scenario, rng: np.random.Generator) -> SimulatedSurvey:
-    """Draw one survey: latent effects, then Poisson counts, then locations."""
+    """Draw one survey: latent effects, then Poisson counts, then locations.
+
+    On Linux it runs with one OpenBLAS thread, as ``fit`` does
+    (``inference._one_blas_thread``): the field's banded factor is slower,
+    not faster, on a second thread.
+    """
     mesh = scn.build_mesh()
     eff = _draw_effects(scn, mesh, rng)
     grid = scn.stack.grid

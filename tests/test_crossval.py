@@ -3,12 +3,13 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcox import crossval, inference
+from gridcox import crossval, inference, model
 from gridcox.crossval import (
     FoldAssignment,
     aggregate_crps,
@@ -24,9 +25,11 @@ from gridcox.crossval import (
     validation_residuals,
 )
 from gridcox.geodata import PointPattern
+from gridcox.gmrf import LatticeMesh
 from gridcox.inference import PosteriorDraws, bin_points
 from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
+from test_inference import random_draws, small_field_like
 
 
 class TestFolds:
@@ -197,6 +200,96 @@ class TestValidationResiduals:
             np.testing.assert_allclose(
                 resid[:, cols[t]], expect[None, :].repeat(4, 0), rtol=1e-12, atol=1e-12
             )
+
+
+def membership_residuals(draws, like, partitions, val, k_folds):
+    """The residuals by the dense formula: exp of the whole (A, N) eta array,
+    times a 0/1 subset-membership matrix per campaign."""
+    design = like.design
+    lam = np.exp(design.eta(draws.dense, draws.w))
+    cols = subset_slices(partitions)
+    out = np.empty((draws.n_draws, max(c.stop for c in cols.values())))
+    for t, c in cols.items():
+        rows, part = design.rows[t], partitions[t]
+        g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
+        member = np.zeros((g_of_cell.size, part.n_subsets))
+        member[np.arange(g_of_cell.size), g_of_cell] = 1.0
+        pts = val.for_campaign(t)
+        counts = np.bincount(part.subset_of_points(pts.x, pts.y), minlength=part.n_subsets)
+        out[:, c] = counts - (lam[:, rows] @ member) * (design.weight / (k_folds - 1))
+    return out
+
+
+@pytest.mark.parametrize("n_draws", [3, model.ETA_BLOCK_DRAWS + 3])
+class TestBlockResiduals:
+    """``validation_residuals`` against the dense-membership formula, below
+    one block of draws and across a partial last block."""
+
+    K_FOLDS = 4
+
+    def check(self, spec, stack, doms, pts, partitions, n_draws, mesh=None):
+        folds = assign_folds(pts, self.K_FOLDS, np.random.default_rng(3))
+        train, val = split(pts, folds, 1)
+        like = bin_points(spec, stack, doms, train, mesh=mesh)
+        draws = random_draws(spec, mesh, n_draws, seed=n_draws)
+        resid = validation_residuals(draws, like, partitions, val, self.K_FOLDS)
+        expect = membership_residuals(draws, like, partitions, val, self.K_FOLDS)
+        assert resid.shape == expect.shape
+        np.testing.assert_allclose(resid, expect, rtol=1e-12, atol=1e-12)
+
+    def test_field_model_with_two_partitions(self, stack, campaign_domains, survey, n_draws):
+        # campaign 1 watches D2 and campaign 2 the full domain D
+        spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=2)
+        doms = {1: campaign_domains[1], 2: campaign_domains[8]}
+        pts = survey.take(np.isin(survey.campaign, [1, 8]))
+        pts = PointPattern(pts.x, pts.y, np.where(pts.campaign == 8, 2, 1))
+        partitions = build_partitions(doms, 3, 4)
+        assert partitions[1] is not partitions[2]
+        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
+        self.check(spec, stack, doms, pts, partitions, n_draws, mesh)
+
+    def test_partition_with_empty_rectangles(self, stack, campaign_domains, survey, n_draws):
+        # the meadow blob D1 leaves the corners of its bounding box empty
+        spec = ModelSpec(include_poceanica=False, include_field=False, n_campaigns=1)
+        doms = {1: campaign_domains[6]}
+        pts = survey.for_campaign(6)
+        pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+        partitions = build_partitions(doms, 6, 6)
+        assert partitions[1].n_empty > 0
+        self.check(spec, stack, doms, pts, partitions, n_draws)
+
+    def test_subsets_without_design_rows(self, stack, campaign_domains, survey, n_draws):
+        # a partition of the full domain D scores a design on D1 alone: the
+        # subsets outside D1 integrate to 0
+        spec = ModelSpec(include_poceanica=False, include_field=False, n_campaigns=1)
+        pts = survey.for_campaign(6)
+        pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+        partitions = build_partitions({1: campaign_domains[8]}, 3, 3)
+        held = np.unique(partitions[1].cell_subset.ravel()[campaign_domains[6].cell_ids])
+        assert held.size < partitions[1].n_subsets
+        self.check(spec, stack, {1: campaign_domains[6]}, pts, partitions, n_draws)
+
+
+def test_block_scoring_never_holds_an_eta_array(stack, campaign_domains, survey):
+    # a whole (A, N) array of eta would be A * N * 8 bytes; the residuals
+    # and the DIC may peak at a quarter of it
+    like = small_field_like(stack, campaign_domains)
+    draws = inference.fit(like, n_draws=1000, rng=np.random.default_rng(0))
+    pts = survey.for_campaign(8)
+    val = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+    partitions = build_partitions({1: campaign_domains[8]}, 3, 3)
+    bound = draws.n_draws * like.design.n_cells * 8 / 4
+    for score in (
+        lambda: validation_residuals(draws, like, partitions, val, 5),
+        lambda: inference.compute_dic(like, draws),
+    ):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestAggregation:

@@ -10,6 +10,7 @@ from gridcox.gmrf import LatticeMesh, MaternHyper, PcPriorSpec
 from gridcox import _banded, inference
 from gridcox.inference import (
     FitError,
+    PosteriorDraws,
     _gamma_logpdf,
     bin_points,
     compute_dic,
@@ -17,7 +18,7 @@ from gridcox.inference import (
     inner_objective_grad,
     summarize,
 )
-from gridcox.model import CellDesign, ModelSpec
+from gridcox.model import ETA_BLOCK_DRAWS, CellDesign, ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
 from test_banded import band_to_dense
 
@@ -615,6 +616,31 @@ class TestEndElimination:
             inner._newton_factor(u_w, u_d)
 
 
+def random_draws(spec, mesh, n_draws, seed):
+    """Effect draws whose intensity is near the surveys': the intercept
+    about log(0.002) per m^2, every other effect and the field around 0."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(0.0, 0.3, (n_draws, spec.n_dense))
+    dense[:, 0] += math.log(0.002)
+    h = len(spec.hyper_names)
+    return PosteriorDraws(
+        spec=spec,
+        mesh=mesh,
+        dense=dense,
+        w=rng.normal(0.0, 0.5, (n_draws, mesh.n if mesh is not None else 0)),
+        log_hyper=np.zeros((n_draws, h)),
+        theta_mode=np.zeros(h),
+    )
+
+
+def whole_array_dic(like, draws):
+    """(dbar, d_hat) from the whole (A, N) eta array: the mean deviance of
+    its rows, and the deviance at its mean row."""
+    eta = like.design.eta(draws.dense, draws.w)
+    dbar = -2.0 * np.mean([like.loglik(e, with_const=True) for e in eta])
+    return dbar, -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
+
+
 class TestDic:
     def test_pd_close_to_parameter_count(self, stack, campaign_domains):
         d = campaign_domains[8]
@@ -648,6 +674,26 @@ class TestDic:
             like_null, fit(like_null, n_draws=1500, rng=np.random.default_rng(6))
         )
         assert dic_true.dic < dic_null.dic
+
+    @pytest.mark.parametrize("with_field", [False, True])
+    def test_matches_whole_array_formula(self, stack, campaign_domains, survey, with_field):
+        # three campaigns on D2, D1 and D; draws across a partial last block
+        spec = ModelSpec(
+            covariates=("depth",), include_poceanica=True, include_field=with_field,
+            n_campaigns=3, pc_prior=PC,
+        )
+        doms = {1: campaign_domains[1], 2: campaign_domains[6], 3: campaign_domains[8]}
+        pts = survey.take(np.isin(survey.campaign, [1, 6, 8]))
+        pts = PointPattern(pts.x, pts.y, np.select([pts.campaign == 6, pts.campaign == 8], [2, 3], 1))
+        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0) if with_field else None
+        like = bin_points(spec, stack, doms, pts, mesh=mesh)
+        draws = random_draws(spec, mesh, 2 * ETA_BLOCK_DRAWS + 3, seed=4)
+        res = compute_dic(like, draws)
+        dbar, d_hat = whole_array_dic(like, draws)
+        assert res.dbar == pytest.approx(dbar, rel=1e-12)
+        assert res.d_hat == pytest.approx(d_hat, rel=1e-12)
+        assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-12 * abs(dbar))
+        assert res.dic == pytest.approx(2.0 * dbar - d_hat, rel=1e-12)
 
     def test_matches_per_draw_poisson_deviance(self, stack, campaign_domains, survey):
         from scipy.stats import poisson

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridcox import _banded, inference
 from gridcox.geodata import DomainMask, RasterGrid
 from gridcox.gmrf import MaternHyper
 from gridcox.model import ModelSpec
@@ -152,3 +153,35 @@ class TestFieldScenario:
         ec = expected_count(scn, effects=survey.effects)[1]
         manual = float(np.exp(survey.log_lambda).sum() * d.grid.cell_area)
         assert ec == pytest.approx(manual, rel=1e-9)
+
+    def test_simulation_runs_with_one_openblas_thread(self, stack, campaign_domains, monkeypatch):
+        # oracle: OpenBLAS's own thread-count getter, read inside the banded
+        # Cholesky of the field draw and again after the simulation returns
+        controls = inference._openblas_threads()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        d = campaign_domains[8]
+        spec = ModelSpec(covariates=(), include_poceanica=False, include_field=True, n_campaigns=1)
+        scn = Scenario(
+            stack=stack, campaign_domains={1: d}, spec=spec, mu0=-6.0,
+            hyper=MaternHyper(sigma=0.5, rho=40.0),
+        )
+        seen = []
+        chol_init = _banded.BandedChol.__init__
+
+        def recording_init(self, ab):
+            seen.append([get() for _, get in controls])
+            chol_init(self, ab)
+
+        monkeypatch.setattr(_banded.BandedChol, "__init__", recording_init)
+        saved = [get() for _, get in controls]
+        for setter, _ in controls:
+            setter(2)
+        try:
+            simulate_lgcp(scn, np.random.default_rng(31))
+            after = [get() for _, get in controls]
+        finally:
+            for (setter, _), n in zip(controls, saved):
+                setter(n)
+        assert seen and all(n == 1 for counts in seen for n in counts)
+        assert after == [2] * len(controls)

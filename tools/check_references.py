@@ -14,6 +14,10 @@ checks only the replicates its seed picks. One line per replicate:
 - a SHA-256 digest of the simulated points: the survey ``prepare`` draws,
   or the ``points.csv`` that ``gridcox simulate`` writes.
 
+A last line gives the workload's worst deviation from the reference as a
+share of its tolerance (atol + rtol·|ref|), with its replicate and output
+path, so the headroom left shows at a glance.
+
 ``--write`` saves the outputs, counts and digests as JSON. ``--against``
 reads such a file, written in another checkout, and adds to each line the
 largest relative deviation from it and whether the counts and the points
@@ -35,20 +39,28 @@ from check import mismatches  # noqa: E402
 from workloads import all_workloads  # noqa: E402
 
 
-def float_pairs(got, want):
-    """Every (got, want) pair of floats at the same place in two outputs."""
+def float_pairs(got, want, path=""):
+    """Every (path, got, want) of floats at the same place in two outputs;
+    the path is written as ``perfbench/check.py`` writes it."""
     if isinstance(want, dict) and isinstance(got, dict):
-        for k in want.keys() & got.keys():
-            yield from float_pairs(got[k], want[k])
+        for k in sorted(want.keys() & got.keys()):
+            yield from float_pairs(got[k], want[k], f"{path}/{k}")
     elif isinstance(want, list) and isinstance(got, list):
-        for g, w in zip(got, want):
-            yield from float_pairs(g, w)
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from float_pairs(g, w, f"{path}[{i}]")
     elif isinstance(want, float) and isinstance(got, (int, float)):
-        yield float(got), want
+        yield path, float(got), want
 
 
 def max_rel_dev(got, want) -> float:
-    return max((abs(g - w) / (abs(w) or 1.0) for g, w in float_pairs(got, want)), default=0.0)
+    return max((abs(g - w) / (abs(w) or 1.0) for _, g, w in float_pairs(got, want)), default=0.0)
+
+
+def worst_share(got, want, rtol: float, atol: float) -> tuple[float, str]:
+    """The largest deviation as a share of its tolerance, atol + rtol * |want|,
+    and the path of that output."""
+    return max(((abs(g - w) / (atol + rtol * abs(w)), path)
+                for path, g, w in float_pairs(got, want)), default=(0.0, ""))
 
 
 def points_digest(inp: dict) -> str:
@@ -73,6 +85,7 @@ def main(argv=None) -> int:
     tol = reference["tolerance"]
     other = json.loads(args.against.read_text()) if args.against else None
     results, failed = {}, 0
+    worst = (0.0, "", "")  # share of tolerance, replicate, output path
     with tempfile.TemporaryDirectory() as tmp:
         for entry in range(workload.pool_size):
             ref = reference["entries"][str(entry)]
@@ -80,6 +93,8 @@ def main(argv=None) -> int:
             outputs, info = workload.operate(inp, Path(tmp), f"r{entry}")
             bad = mismatches(outputs, ref["outputs"], tol["rtol"], tol["atol"])
             failed += bool(bad)
+            share, path = worst_share(outputs, ref["outputs"], tol["rtol"], tol["atol"])
+            worst = max(worst, (share, str(entry), path))
             res = {"outputs": outputs, "info": info, "points": points_digest(inp)}
             results[str(entry)] = res
             line = [args.workload, str(entry), "FAIL" if bad else "pass",
@@ -94,6 +109,9 @@ def main(argv=None) -> int:
             print(" ".join(line), flush=True)
             for msg in bad[:5]:
                 print(f"    {msg}", flush=True)
+    share, entry, path = worst
+    print(f"{args.workload} worst: {100 * share:.2g}% of tolerance (atol {tol['atol']:g} + "
+          f"rtol {tol['rtol']:g} * |ref|), replicate {entry} {path}", flush=True)
     if args.write:
         args.write.write_text(json.dumps(results, indent=1))
     return 1 if failed else 0
