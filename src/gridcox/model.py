@@ -171,7 +171,7 @@ class CellDesign:
         draws, block of their eta). ``rows`` picks and orders the design rows
         (all, in order, by default). Every block is the same buffer,
         overwritten by the next, so the caller may also overwrite it. The
-        blocks hold two buffers of memory, never an (A, N) array."""
+        blocks hold at most two buffers of memory, never an (A, N) array."""
         if rows is None:
             rows = np.arange(self.n_cells)
         xt = np.ascontiguousarray(self.x[rows].T)
