@@ -150,22 +150,30 @@ def validation_residuals(
     Returns one (A, G) array over the stacked subsets of all campaigns;
     ``subset_slices(partitions)[t]`` holds campaign t's columns.
 
-    Each campaign's design rows are sorted by subset once, so every subset
-    is one contiguous segment of them. The intensity draws are then made in
-    blocks (``CellDesign.eta_blocks``), exponentiated in place and summed
+    A subset's integral runs over the likelihood's groups (cells sharing a
+    design row and a mesh node, ``GriddedLikelihood``): each campaign's cells
+    are reduced once to (subset, group) pairs, by subset then group, each
+    weighted by its cell count, so every subset is one contiguous segment of
+    pairs. In a field model every group is one cell and every pair a cell.
+    The intensity draws of the pairs' groups are then made in blocks
+    (``CellDesign.eta_blocks``), exponentiated in place, weighted and summed
     segment by segment (``np.add.reduceat``): memory stays at two blocks of
     eta, never an (A, N) array.
     """
     design = like.design
-    order, sizes, counts = [], [], []
+    n_groups = like.groups.n_cells
+    pair_group, pair_cells, sizes, counts = [], [], [], []
     for t in subset_slices(partitions):
-        rows = np.arange(design.rows[t].start, design.rows[t].stop)
+        rows = design.rows[t]
         part = partitions[t]
         g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
         if np.any(g_of_cell < 0):
             raise ValueError(f"campaign {t}: partition does not cover the domain")
-        order.append(rows[np.argsort(g_of_cell, kind="stable")])
-        sizes.append(np.bincount(g_of_cell, minlength=part.n_subsets))
+        pairs, n_cells = np.unique(g_of_cell * n_groups + like.group_of[rows],
+                                   return_counts=True)
+        pair_group.append(pairs % n_groups)
+        pair_cells.append(n_cells)
+        sizes.append(np.bincount(pairs // n_groups, minlength=part.n_subsets))
 
         pts = val_points.for_campaign(t)
         g_of_point = part.subset_of_points(pts.x, pts.y)
@@ -174,12 +182,14 @@ def validation_residuals(
         counts.append(np.bincount(g_of_point, minlength=part.n_subsets))
     sizes = np.concatenate(sizes)
     # a subset without design rows integrates to 0; reduceat would instead
-    # return the row its empty segment starts at, so it sums only the others
+    # return the pair its empty segment starts at, so it sums only the others
     filled = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[filled]
+    pair_cells = np.concatenate(pair_cells)
     out = np.zeros((draws.n_draws, sizes.size))
-    for a, lam in design.eta_blocks(draws.dense, draws.w, np.concatenate(order)):
+    for a, lam in like.groups.eta_blocks(draws.dense, draws.w, np.concatenate(pair_group)):
         np.exp(lam, out=lam)
+        lam *= pair_cells
         out[a, filled] = np.add.reduceat(lam, starts, axis=1)
     out *= -(design.weight / (n_folds - 1))
     out += np.concatenate(counts)

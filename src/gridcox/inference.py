@@ -4,6 +4,14 @@ The point pattern is reduced to cell counts; conditional on the latent
 effects the counts are independent Poissons with mean alpha_q lambda(s_q)
 (midpoint quadrature, Berman-Turner style), so the log-likelihood is
 sum over campaigns and cells of N_q log(alpha_q lambda) - alpha_q lambda.
+That sum depends on the cells only through each distinct pair of design row
+and mesh node, so ``bin_points`` groups the cells by that pair once (the
+Berman-Turner / Baddeley-Turner weighting device): a group has the count
+total and the exposure (cell area times cell count) of its cells. Newton,
+the DIC and the cross-validation residuals all run over groups. A field-free
+model has a handful of them (one per campaign and meadow indicator without
+continuous covariates); in a field model every cell has its own mesh node,
+so every cell is its own group, in the design's row order.
 
 Fitting splits the latent vector u into the field block w (large, banded
 precision) and the dense block d (small), laid out as
@@ -131,18 +139,65 @@ def _one_blas_thread():
 
 @dataclass
 class GriddedLikelihood:
-    """Cell counts of every campaign on the stacked cell design, one Poisson model.
+    """Counts of every campaign on the stacked cell design, one Poisson model,
+    with the cells grouped by design row and mesh node.
 
-    ``design`` stacks the cells of all campaign domains (see ``CellDesign``)
-    and computes their log-intensities; ``y`` holds the count of each of its
-    rows. Every row has the same quadrature weight alpha = ``design.weight``
-    (the cell area), so the Poisson mean of a row is alpha * exp(eta).
+    ``design`` stacks the cells of all campaign domains (see ``CellDesign``).
+    Cells that share a design row and a mesh node share a log-intensity, so
+    the likelihood keeps one entry per such group, the groups in order of
+    their first cell: ``groups`` is the design of one row per group,
+    ``group_of`` the group of each design row, ``y`` the count total of each
+    group and ``exposure`` its quadrature weight, the cell area
+    ``design.weight`` times its cell count. The Poisson mean of a group is
+    exposure * exp(eta). ``loglik_const`` holds the eta-free terms, summed
+    over the cells before grouping. In a field model every group is one cell,
+    in the design's row order, with exposure ``design.weight``.
     """
 
     spec: ModelSpec
     mesh: LatticeMesh | None
     design: CellDesign
+    groups: CellDesign
+    group_of: np.ndarray
     y: np.ndarray
+    exposure: np.ndarray
+    loglik_const: float
+
+    @classmethod
+    def from_cells(
+        cls, spec: ModelSpec, mesh: LatticeMesh | None, design: CellDesign, y: np.ndarray
+    ) -> "GriddedLikelihood":
+        """Group the cells of ``design``, whose counts are ``y``, by design row
+        and mesh node."""
+        # one column of mesh nodes, or none without a field
+        nodes = design.mesh_index.reshape(design.n_cells, -1)
+        key = np.ascontiguousarray(np.column_stack([design.x, nodes]), dtype=float)
+        # each row as one opaque value: a 1-D unique sorts far faster than axis=0
+        row_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # groups by their first cell
+        first = first[order]
+        group_of = np.argsort(order)[inverse]
+        groups = CellDesign(
+            cell_ids=design.cell_ids[first],
+            mesh_index=nodes[first].ravel(),
+            weight=design.weight,
+            # no group spans two campaigns: with two or more, the campaign
+            # columns tell their rows apart
+            rows={t: slice(*np.searchsorted(first, (r.start, r.stop)).tolist())
+                  for t, r in design.rows.items()},
+            x=design.x[first],
+        )
+        return cls(
+            spec=spec,
+            mesh=mesh,
+            design=design,
+            groups=groups,
+            group_of=group_of,
+            y=np.bincount(group_of, weights=y, minlength=first.size),
+            exposure=design.weight * np.bincount(group_of, minlength=first.size),
+            loglik_const=float(y.sum() * math.log(design.weight) - gammaln(y + 1.0).sum()),
+        )
 
     @property
     def n_mesh(self) -> int:
@@ -151,12 +206,6 @@ class GriddedLikelihood:
     @property
     def n_dense(self) -> int:
         return self.spec.n_dense
-
-    @functools.cached_property
-    def loglik_const(self) -> float:
-        """Terms of the log-likelihood free of eta: sum y log alpha - log y!.
-        Computed once: ``y`` is not changed after ``bin_points``."""
-        return float(self.y.sum() * math.log(self.design.weight) - gammaln(self.y + 1.0).sum())
 
     @functools.cached_property
     def data_nodes(self) -> slice:
@@ -170,12 +219,12 @@ class GriddedLikelihood:
         return slice(first * cols, stop * cols)
 
     def poisson_mean(self, eta: np.ndarray) -> np.ndarray:
-        """Expected count of every row at log-intensities ``eta``."""
-        return self.design.weight * np.exp(eta)
+        """Expected count of every group at its log-intensity ``eta``."""
+        return self.exposure * np.exp(eta)
 
     def loglik(self, eta: np.ndarray, with_const: bool = False) -> float:
-        """Poisson count log-likelihood at stacked log-intensities ``eta``;
-        ``with_const`` adds the eta-free ``loglik_const``."""
+        """Poisson count log-likelihood at the groups' log-intensities ``eta``
+        (``groups.eta``); ``with_const`` adds the eta-free ``loglik_const``."""
         total = float(self.y @ eta - self.poisson_mean(eta).sum())
         return total + self.loglik_const if with_const else total
 
@@ -187,7 +236,8 @@ def bin_points(
     points: PointPattern,
     mesh: LatticeMesh | None = None,
 ) -> GriddedLikelihood:
-    """Reduce a point pattern to cell counts on the stacked cell design.
+    """Reduce a point pattern to cell counts on the stacked cell design, and
+    group the cells by design row and mesh node (``GriddedLikelihood``).
 
     Every point must fall in a cell of its campaign's domain; stray points
     (campaign label outside 1..T, outside the grid, on an unclassified cell,
@@ -213,12 +263,7 @@ def bin_points(
                 f"campaign {t}: {stray} points fall outside the campaign domain"
             )
         y[rows] = np.bincount(node, minlength=ids.size)
-    return GriddedLikelihood(
-        spec=spec,
-        mesh=mesh if spec.include_field else None,
-        design=design,
-        y=y,
-    )
+    return GriddedLikelihood.from_cells(spec, mesh if spec.include_field else None, design, y)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +299,12 @@ class _DenseFactor:
 
 
 class _Inner:
-    """Poisson likelihood plus Gaussian prior for one (sigma, rho, tau)."""
+    """Poisson likelihood plus Gaussian prior for one (sigma, rho, tau), over
+    the likelihood's groups."""
 
     def __init__(self, like: GriddedLikelihood, prec: SparsePrecision | None, tau: float | None):
         self.like = like
-        self.design = like.design
+        self.groups = like.groups
         self.spec = like.spec
         self.prec = prec
         self.n_w = like.n_mesh
@@ -280,15 +326,15 @@ class _Inner:
         return quad
 
     def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
-        return self.like.loglik(self.design.eta(u_d, u_w)) - 0.5 * self.prior_quad(u_w, u_d)
+        return self.like.loglik(self.groups.eta(u_d, u_w)) - 0.5 * self.prior_quad(u_w, u_d)
 
     def gradient(self, u_w: np.ndarray, u_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        like, design = self.like, self.design
-        resid = like.y - like.poisson_mean(design.eta(u_d, u_w))
-        g_d = design.x.T @ resid - self.dense_prior * u_d
+        like, groups = self.like, self.groups
+        resid = like.y - like.poisson_mean(groups.eta(u_d, u_w))
+        g_d = groups.x.T @ resid - self.dense_prior * u_d
         g_w = np.zeros(0)
         if self.n_w:
-            g_w = np.bincount(design.mesh_index, weights=resid, minlength=self.n_w)
+            g_w = np.bincount(groups.mesh_index, weights=resid, minlength=self.n_w)
             g_w -= self.prec.matvec(u_w)
         return g_w, g_d
 
@@ -298,8 +344,8 @@ class _Inner:
         on those nodes, dense block); the field parts are None without a field.
         The nodes must hold every design cell. Counts one factorization."""
         self.n_factors += 1
-        x, idx = self.design.x, self.design.mesh_index - nodes.start
-        w = self.like.poisson_mean(self.design.eta(u_d, u_w))
+        x, idx = self.groups.x, self.groups.mesh_index - nodes.start
+        w = self.like.poisson_mean(self.groups.eta(u_d, u_w))
         s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
         if not self.n_w:
             return None, None, s
@@ -477,7 +523,7 @@ class _Explorer:
         if self.spec.include_field:
             logdet_prior += inner.prec.logdet
         lp = (
-            self.like.loglik(self.like.design.eta(u_d, u_w), with_const=True)
+            self.like.loglik(self.like.groups.eta(u_d, u_w), with_const=True)
             - 0.5 * inner.prior_quad(u_w, u_d)
             + 0.5 * logdet_prior
             - 0.5 * factor.logdet
@@ -722,18 +768,19 @@ def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
     included); the effective parameter count is mean deviance minus the
     deviance at the posterior-mean effects. The log-intensity is linear in
     the effects, so that plug-in deviance takes the eta of the mean effects,
-    which equals the mean of the eta draws up to rounding. The mean deviance
-    is accumulated over blocks of draws (``CellDesign.eta_blocks``), so
-    memory stays at two blocks of eta, never an (A, N) array.
+    which equals the mean of the eta draws up to rounding. Both run over the
+    likelihood's groups, with their count totals and exposures. The mean
+    deviance is accumulated over blocks of draws (``CellDesign.eta_blocks``),
+    so memory stays at two blocks of eta, never an (A, groups) array.
     """
-    design = like.design
+    groups = like.groups
     mean = draws.mean_effects()
-    d_hat = -2.0 * like.loglik(design.eta(mean.dense, mean.w), with_const=True)
+    d_hat = -2.0 * like.loglik(groups.eta(mean.dense, mean.w), with_const=True)
     loglik = np.empty(draws.n_draws)  # per draw, without the eta-free constant
-    for a, eta in design.eta_blocks(draws.dense, draws.w):
+    for a, eta in groups.eta_blocks(draws.dense, draws.w):
         dot_y = eta @ like.y
         np.exp(eta, out=eta)
-        loglik[a] = dot_y - design.weight * eta.sum(axis=1)
+        loglik[a] = dot_y - eta @ like.exposure
     dbar = -2.0 * (float(np.mean(loglik)) + like.loglik_const)
     p_d = dbar - d_hat
     return DicResult(dbar=dbar, d_hat=d_hat, p_d=p_d, dic=dbar + p_d)

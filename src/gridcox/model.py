@@ -40,8 +40,9 @@ __all__ = [
     "decompose_intensity",
 ]
 
-# Draws per block of ``CellDesign.eta_blocks``: 50 draws of 4096 rows are
-# 1.6 MB, so a block stays in cache from its eta through exp to its sums.
+# Draws per block of ``CellDesign.eta_blocks``: 50 draws of 4096 groups (a
+# field model's 64 x 64 cells, each its own group) are 1.6 MB, so a block
+# stays in cache from its eta through exp to its sums.
 ETA_BLOCK_DRAWS = 50
 
 
@@ -145,6 +146,11 @@ class CellDesign:
     entry of ``spec.dense_columns``, filled by its kind: ones (intercept),
     the covariate's values (covariate), the meadow indicator z (effort), or
     the campaign's one-hot rows (campaign).
+
+    The likelihood also keeps a design of one row per group of cells that
+    share a design row and a mesh node (``GriddedLikelihood.groups``). Its
+    rows are the groups, in order of their first cell, and its ``cell_ids``
+    are those first cells; ``rows[t]`` slices campaign t's groups.
     """
 
     cell_ids: np.ndarray
@@ -169,9 +175,11 @@ class CellDesign:
         """The log-intensities of draws ``dense`` (A, n_dense) and ``w``
         (A, mesh.n), ``ETA_BLOCK_DRAWS`` draws at a time: yields (slice of the
         draws, block of their eta). ``rows`` picks and orders the design rows
-        (all, in order, by default). Every block is the same buffer,
-        overwritten by the next, so the caller may also overwrite it. The
-        blocks hold at most two buffers of memory, never an (A, N) array."""
+        (all, in order, by default); the scoring passes the rows of the
+        likelihood's group design, so a block holds one column per group, or
+        per (subset, group) pair, not per cell. Every block is the same
+        buffer, overwritten by the next, so the caller may also overwrite it.
+        The blocks hold at most two buffers of memory, never an (A, N) array."""
         if rows is None:
             rows = np.arange(self.n_cells)
         xt = np.ascontiguousarray(self.x[rows].T)

@@ -32,6 +32,17 @@ def effect_draws(draws, name):
     return np.exp(draws.log_hyper[:, draws.spec.hyper_names.index(f"log_{name}")])
 
 
+def cell_counts(design, grid, points):
+    """Count of ``points`` in every cell of ``design``, by brute force: the
+    per-cell counts that ``bin_points`` groups."""
+    y = np.empty(design.n_cells)
+    for t, rows in design.rows.items():
+        pts = points.for_campaign(t)
+        per_cell = np.bincount(grid.cell_of_points(pts.x, pts.y), minlength=grid.n_cells)
+        y[rows] = per_cell[design.cell_ids[rows]]
+    return y
+
+
 def glm_spec(covariates=(), poceanica=False, campaigns=1):
     return ModelSpec(
         covariates=covariates,
@@ -44,17 +55,23 @@ def glm_spec(covariates=(), poceanica=False, campaigns=1):
 
 class TestBinPoints:
     def test_counts_match_brute_force(self, stack, campaign_domains, survey):
+        # one group per campaign: the count totals are the campaigns' point
+        # counts, and the per-cell counts survive in the eta-free constant
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
         assert like.y.sum() == survey.n
         grid = stack.grid
-        for t, rows in like.design.rows.items():
+        brute = []
+        for t in range(1, 10):
             pts = survey.for_campaign(t)
             cells = grid.cell_of_points(pts.x, pts.y)
-            brute = np.bincount(cells, minlength=grid.n_cells)[campaign_domains[t].cell_ids]
-            np.testing.assert_array_equal(like.y[rows], brute)
-            assert like.y[rows].sum() == pts.n
-        assert like.y.size == sum(d.cell_ids.size for d in campaign_domains.values())
+            brute.append(np.bincount(cells, minlength=grid.n_cells)[campaign_domains[t].cell_ids])
+            assert like.y[like.groups.rows[t]].tolist() == [pts.n]
+        brute = np.concatenate(brute)
+        assert like.design.n_cells == brute.size
+        np.testing.assert_array_equal(like.y, np.bincount(like.group_of, weights=brute))
+        const = brute.sum() * math.log(grid.cell_area) - sum(math.lgamma(n + 1) for n in brute)
+        assert like.loglik_const == pytest.approx(const, rel=1e-12)
 
     def test_stray_point_is_error(self, stack, campaign_domains):
         spec = glm_spec(campaigns=1)
@@ -86,9 +103,12 @@ class TestBinPoints:
             bin_points(glm_spec(campaigns=1), stack, {1: campaign_domains[8]}, pts)
 
     def test_exposure_is_cell_area(self, stack, campaign_domains, survey):
+        # a group's exposure is the cell area times its cell count
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
         assert like.design.weight == 100
+        sizes = [campaign_domains[t].cell_ids.size for t in range(1, 10)]
+        assert like.exposure.tolist() == [100.0 * n for n in sizes]
 
     def test_dense_design_matches_model_layout(self, stack, campaign_domains, survey):
         spec = ModelSpec(
@@ -101,7 +121,7 @@ class TestBinPoints:
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         like = bin_points(spec, stack, campaign_domains, survey, mesh=mesh)
         design = like.design
-        assert design.x.shape == (like.y.size, spec.n_dense)
+        assert design.x.shape == (design.n_cells, spec.n_dense)
         for t in (1, 6, 9):
             rows = design.rows[t]
             cells = campaign_domains[t].cell_ids
@@ -204,7 +224,7 @@ class TestGlmFits:
         assert draws.theta_mode.shape == (0,)
         assert draws.w.shape == (n_draws, 0) and draws.log_hyper.shape == (n_draws, 0)
 
-        alpha, n_cells, y_total = like.design.weight, like.y.size, like.y.sum()
+        alpha, n_cells, y_total = like.design.weight, like.design.n_cells, like.y.sum()
         mode = brentq(
             lambda m: y_total - alpha * n_cells * math.exp(m) - spec.fixed_prec * m, -20.0, 0.0
         )
@@ -544,7 +564,7 @@ def lattice_like(mesh, data_rows, seed=0):
     design = CellDesign(cell_ids=cells, mesh_index=mesh.grid_to_mesh[cells],
                         weight=mesh.dx * mesh.dy, rows={1: slice(0, cells.size)}, x=x)
     y = rng.poisson(2.0, cells.size).astype(float)
-    return inference.GriddedLikelihood(spec=spec, mesh=mesh, design=design, y=y)
+    return inference.GriddedLikelihood.from_cells(spec, mesh, design, y)
 
 
 class TestEndElimination:
@@ -572,7 +592,7 @@ class TestEndElimination:
 
     def dense_hessian(self, like, inner, u_w, u_d):
         design, n = like.design, like.n_mesh
-        w = like.poisson_mean(design.eta(u_d, u_w))
+        w = design.weight * np.exp(design.eta(u_d, u_w))
         onto = np.zeros((design.n_cells, n))
         onto[np.arange(design.n_cells), design.mesh_index] = 1.0
         a = np.column_stack([onto, design.x])
@@ -633,12 +653,16 @@ def random_draws(spec, mesh, n_draws, seed):
     )
 
 
-def whole_array_dic(like, draws):
-    """(dbar, d_hat) from the whole (A, N) eta array: the mean deviance of
-    its rows, and the deviance at its mean row."""
-    eta = like.design.eta(draws.dense, draws.w)
-    dbar = -2.0 * np.mean([like.loglik(e, with_const=True) for e in eta])
-    return dbar, -2.0 * like.loglik(eta.mean(axis=0), with_const=True)
+def whole_array_dic(design, y, draws):
+    """(dbar, d_hat) from the whole (A, N) eta array of the cells of
+    ``design``, whose counts are ``y``: the mean Poisson deviance of its
+    rows, and the deviance at its mean row."""
+    from scipy.stats import poisson
+
+    eta = design.eta(draws.dense, draws.w)
+    dbar = -2.0 * poisson.logpmf(y, design.weight * np.exp(eta)).sum(axis=1).mean()
+    d_hat = -2.0 * poisson.logpmf(y, design.weight * np.exp(eta.mean(axis=0))).sum()
+    return dbar, d_hat
 
 
 class TestDic:
@@ -689,7 +713,8 @@ class TestDic:
         like = bin_points(spec, stack, doms, pts, mesh=mesh)
         draws = random_draws(spec, mesh, 2 * ETA_BLOCK_DRAWS + 3, seed=4)
         res = compute_dic(like, draws)
-        dbar, d_hat = whole_array_dic(like, draws)
+        y = cell_counts(like.design, stack.grid, pts)
+        dbar, d_hat = whole_array_dic(like.design, y, draws)
         assert res.dbar == pytest.approx(dbar, rel=1e-12)
         assert res.d_hat == pytest.approx(d_hat, rel=1e-12)
         assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-12 * abs(dbar))
@@ -702,6 +727,7 @@ class TestDic:
         like = bin_points(spec, stack, campaign_domains, survey)
         draws = fit(like, n_draws=40, rng=np.random.default_rng(12))
         res = compute_dic(like, draws)
+        y_cells = cell_counts(like.design, stack.grid, survey)
 
         def deviance(dense):
             eff = dict(zip(spec.dense_names, dense))
@@ -714,7 +740,7 @@ class TestDic:
                     + eff["gamma"] * stack.z_at(cells)
                     + eff[f"mu[{t}]"]
                 )
-                y = like.y[like.design.rows[t]]
+                y = y_cells[like.design.rows[t]]
                 total += poisson.logpmf(y, stack.grid.cell_area * np.exp(eta)).sum()
             return -2.0 * total
 
@@ -730,14 +756,13 @@ class TestCountLoglik:
     def test_matches_scipy_poisson(self, stack, campaign_domains, survey):
         from scipy.stats import poisson
 
+        # eta per group, spread to the cells of each group
         spec = glm_spec(campaigns=9)
         like = bin_points(spec, stack, campaign_domains, survey)
         rng = np.random.default_rng(11)
         eta = rng.normal(-6.0, 0.3, like.y.size)
-        manual = sum(
-            poisson.logpmf(like.y[rows], like.design.weight * np.exp(eta[rows])).sum()
-            for rows in like.design.rows.values()
-        )
+        y_cells = cell_counts(like.design, stack.grid, survey)
+        manual = poisson.logpmf(y_cells, like.design.weight * np.exp(eta[like.group_of])).sum()
         assert like.loglik(eta, with_const=True) == pytest.approx(manual, rel=1e-10)
         assert like.loglik(eta) + like.loglik_const == pytest.approx(manual, rel=1e-10)
 
@@ -772,7 +797,7 @@ class TestFailureModes:
         d = campaign_domains[1]
         pts = survey.for_campaign(1)
         like = bin_points(spec, stack, {1: d, 2: d}, pts)
-        assert like.y[like.design.rows[2]].sum() == 0
+        assert like.y[like.groups.rows[2]].sum() == 0
         draws = fit(like, n_draws=400, rng=np.random.default_rng(0))
         summary = summarize(draws)
         assert np.all(np.isfinite(summary.mean)) and np.all(np.isfinite(summary.sd))

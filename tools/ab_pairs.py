@@ -1,19 +1,24 @@
-"""Alternating A/B runs of the benchmark in two source checkouts.
+"""Order-balanced A/B runs of the benchmark in two source checkouts.
 
     python3 tools/ab_pairs.py --base DIR --head DIR --workload NAME \
         --seeds 11-20 [--out BENCH_NAME.json]
 
-Each seed is one pair: ``perfbench/run.py --trace 0`` runs once in each
-checkout with that seed, the base first in even pairs and the head first in
-odd ones, so a drift in host load falls on both sides alike. Every run
-lasts ``run_seconds`` from the base checkout's ``BENCHMARK.json``.
+Each seed is one pair of four runs of ``perfbench/run.py --trace 0`` with
+that seed, in the order base, head, head, base (ABBA). A side's value for
+the seed is the mean of its two runs: each side runs once before the other
+and once after it, so an effect of run order, or a drift in host load that
+is linear over the four runs, falls on both sides alike. Every run lasts
+``run_seconds`` from the base checkout's ``BENCHMARK.json``.
 
-The output JSON holds every run's end-to-end metrics, correctness and host
-line (cores, affinity, BLAS threads, versions); per side, the median and
-quartiles of each metric; and per metric, the pairs the head wins, its
-median change, and whether that change exceeds the base's interquartile
-spread. A metric's direction ("lower" or "higher" is better) comes from
-``BENCHMARK.json``.
+The output JSON holds every run's position in its seed (1 to 4), end-to-end
+metrics, correctness and host line (cores, affinity, BLAS threads,
+versions); per side, the median and quartiles over the seeds of each
+metric's two-run mean; and per metric, the seeds the head wins, its median
+change, and whether that change exceeds the base's interquartile spread.
+To show an order effect, each metric also counts the head's wins within the
+inner pairs alone: runs 1 and 2, where the head runs second, and runs 3 and
+4, where it runs first. A metric's direction ("lower" or "higher" is better)
+comes from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+ORDER = ("base", "head", "head", "base")  # the runs of one seed, positions 1 to 4
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -67,22 +74,35 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def by_position(runs: dict, name: str) -> dict:
+    """Each position's values of one metric, in seed order."""
+    return {pos: [r["metrics"][name] for r in runs[side] if r["position"] == pos]
+            for pos, side in enumerate(ORDER, start=1)}
+
+
 def summarize(runs: dict, directions: dict) -> dict:
-    """Per-side median and quartiles, and the head's wins over the base per metric."""
+    """Per side, the median and quartiles of its two-run means; per metric,
+    the head's wins over the base, over the means and within the inner pairs."""
     out = {}
-    n_pairs = len(runs["base"])
     for name, better in directions.items():
-        sides = {s: [r["metrics"][name] for r in runs[s]] for s in ("base", "head")}
+        at = by_position(runs, name)
+        sides = {"base": [(a + d) / 2 for a, d in zip(at[1], at[4])],
+                 "head": [(b + c) / 2 for b, c in zip(at[2], at[3])]}
         sign = 1.0 if better == "lower" else -1.0
-        wins = sum(sign * (b - h) > 0 for b, h in zip(sides["base"], sides["head"]))
+
+        def wins(base, head):
+            return sum(sign * (b - h) > 0 for b, h in zip(base, head))
+
         base, head = spread(sides["base"]), spread(sides["head"])
         change = head["median"] - base["median"]
         out[name] = {
             "better": better,
             "base": base,
             "head": head,
-            "head_wins": wins,
-            "pairs": n_pairs,
+            "head_wins": wins(sides["base"], sides["head"]),
+            "head_wins_running_second": wins(at[1], at[2]),
+            "head_wins_running_first": wins(at[4], at[3]),
+            "pairs": len(sides["base"]),
             "median_change": change / base["median"] if base["median"] else None,
             "beyond_base_iqr": abs(change) > base["q3"] - base["q1"],
         }
@@ -114,12 +134,11 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs = {"base": [], "head": []}
     for i, seed in enumerate(args.seeds):
-        order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        for side in order:
+        for position, side in enumerate(ORDER, start=1):
             run = run_once(checkouts[side], args.workload, seed, seconds)
-            run["first"] = side == order[0]
+            run["position"] = position
             runs[side].append(run)
-            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} {side}: "
+            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} run {position} {side}: "
                   f"op_s {run['metrics'].get('op_s', float('nan')):.3f} "
                   f"correct {run['correct']}", flush=True)
 
@@ -138,7 +157,9 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base']['median']:.4g} [{s['base']['q1']:.4g}, "
               f"{s['base']['q3']:.4g}] -> head {s['head']['median']:.4g} "
               f"[{s['head']['q1']:.4g}, {s['head']['q3']:.4g}]; head better in "
-              f"{s['head_wins']}/{s['pairs']}")
+              f"{s['head_wins']}/{s['pairs']} (inner pairs: running second "
+              f"{s['head_wins_running_second']}, running first "
+              f"{s['head_wins_running_first']})")
     return 0
 
 
