@@ -73,7 +73,7 @@ def main() -> None:
     print(f"\ntrue effects: mu0 {true['mu0']:+.2f}, beta_depth {true['depth']:+.3f}, "
           f"gamma {true['gamma']:+.2f}")
     print(f"campaign shifts mu_t: {np.array2string(mu_t, precision=2)}")
-    print(f"field: sd {eff.w.std():.2f} across the mesh "
+    print(f"field: sd {eff.w.std():.2f} across the grid "
           f"(marginal target {scn.hyper.sigma})")
 
 

@@ -329,8 +329,8 @@ def _write_csv(header: list[str], rows, path: Path) -> None:
         writer.writerows(rows)
 
 
-def _field_raster(grid: RasterGrid, mesh: LatticeMesh, w: np.ndarray) -> RasterGrid:
-    values = w[mesh.grid_to_mesh].reshape(grid.n_rows, grid.n_cols)
+def _field_raster(grid: RasterGrid, w: np.ndarray) -> RasterGrid:
+    values = w.reshape(grid.n_rows, grid.n_cols)
     return RasterGrid(
         origin_x=grid.origin_x,
         origin_y=grid.origin_y,
@@ -399,7 +399,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         truth += [("sigma", _fmt(hyper.sigma)), ("rho", _fmt(hyper.rho))]
     _atomic_write(cfg.out_dir / "truth.csv", _write_csv, ["name", "value"], truth)
     if spec.include_field:
-        raster = _field_raster(stack.grid, scn.build_mesh(), eff.w)
+        raster = _field_raster(stack.grid, eff.w)
         _atomic_write(cfg.out_dir / "truth_field.asc", write_raster, raster)
 
     for t in sorted(domains):
@@ -442,7 +442,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         rows,
     )
     if spec.include_field:
-        raster = _field_raster(stack.grid, mesh, post.w.mean(axis=0))
+        raster = _field_raster(stack.grid, post.w.mean(axis=0))
         _atomic_write(cfg.out_dir / "field_posterior_mean.asc", write_raster, raster)
 
     print(summary)

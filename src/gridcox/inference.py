@@ -27,7 +27,10 @@ lattice in natural order. The hyperparameters are then integrated over
 a small axis-aligned grid around their posterior mode, spaced so the three
 points per axis straddle roughly the central 90% of the Gaussian profile;
 posterior draws pick a grid point by weight, add within-cell jitter on theta,
-and draw the latent vector from the Gaussian approximation at that point.
+and draw the latent vector from the Gaussian approximation at that point. The
+field is drawn on the whole mesh and kept on the raster grid's cells: the
+halo only keeps the prior's boundary effects off the domain, and no output
+reads it.
 """
 
 from __future__ import annotations
@@ -300,7 +303,8 @@ class _DenseFactor:
 
 class _Inner:
     """Poisson likelihood plus Gaussian prior for one (sigma, rho, tau), over
-    the likelihood's groups."""
+    the likelihood's groups. The latent field block ``u_w`` lives on the whole
+    mesh, halo included, and the groups read it at their ``mesh_index``."""
 
     def __init__(self, like: GriddedLikelihood, prec: SparsePrecision | None, tau: float | None):
         self.like = like
@@ -319,6 +323,13 @@ class _Inner:
         self.n_factors = 0
         self.n_end_factors = 0
 
+    def eta(self, u_w: np.ndarray, u_d: np.ndarray) -> np.ndarray:
+        """log lambda of every group at the latent vector (u_w, u_d)."""
+        out = u_d @ self.groups.x.T
+        if self.n_w:
+            out += u_w[self.groups.mesh_index]
+        return out
+
     def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
         quad = float(np.dot(self.dense_prior * u_d, u_d))
         if self.n_w:
@@ -326,11 +337,11 @@ class _Inner:
         return quad
 
     def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
-        return self.like.loglik(self.groups.eta(u_d, u_w)) - 0.5 * self.prior_quad(u_w, u_d)
+        return self.like.loglik(self.eta(u_w, u_d)) - 0.5 * self.prior_quad(u_w, u_d)
 
     def gradient(self, u_w: np.ndarray, u_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         like, groups = self.like, self.groups
-        resid = like.y - like.poisson_mean(groups.eta(u_d, u_w))
+        resid = like.y - like.poisson_mean(self.eta(u_w, u_d))
         g_d = groups.x.T @ resid - self.dense_prior * u_d
         g_w = np.zeros(0)
         if self.n_w:
@@ -345,7 +356,7 @@ class _Inner:
         The nodes must hold every design cell. Counts one factorization."""
         self.n_factors += 1
         x, idx = self.groups.x, self.groups.mesh_index - nodes.start
-        w = self.like.poisson_mean(self.groups.eta(u_d, u_w))
+        w = self.like.poisson_mean(self.eta(u_w, u_d))
         s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
         if not self.n_w:
             return None, None, s
@@ -445,7 +456,8 @@ def inner_objective_grad(
     hyper: MaternHyper | None = None,
     tau: float | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Inner Laplace objective and its analytic gradient at (u_w, u_d).
+    """Inner Laplace objective and its analytic gradient at (u_w, u_d), with
+    the latent field ``u_w`` on the whole mesh (length mesh.n).
 
     The objective is the Poisson log-likelihood plus the Gaussian prior
     kernel; the gradient is returned as one concatenated vector. Exposed for
@@ -523,7 +535,7 @@ class _Explorer:
         if self.spec.include_field:
             logdet_prior += inner.prec.logdet
         lp = (
-            self.like.loglik(self.like.groups.eta(u_d, u_w), with_const=True)
+            self.like.loglik(inner.eta(u_w, u_d), with_const=True)
             - 0.5 * inner.prior_quad(u_w, u_d)
             + 0.5 * logdet_prior
             - 0.5 * factor.logdet
@@ -585,12 +597,13 @@ class PosteriorDraws:
     """A posterior draws of the hyperparameters and all latent effects.
 
     ``dense`` is (A, n_dense), one column per entry of the column table
-    ``spec.dense_columns``. ``w`` is (A, mesh.n) (zero columns for field-free
-    models); ``log_hyper`` is (A, n_hyper) in ``spec.hyper_names`` order.
+    ``spec.dense_columns``. ``w`` is (A, grid cells), the field at every flat
+    cell id of the raster grid, as ``EffectVector.w`` (zero columns for
+    field-free models); the mesh halo is not kept. ``log_hyper`` is
+    (A, n_hyper) in ``spec.hyper_names`` order.
     """
 
     spec: ModelSpec
-    mesh: LatticeMesh | None
     dense: np.ndarray
     w: np.ndarray
     log_hyper: np.ndarray
@@ -625,8 +638,9 @@ def fit(
     """Fit the model and return posterior draws.
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
-    ``spec.hyper_names`` order). On Linux the fit runs with one OpenBLAS
-    thread (``_one_blas_thread``).
+    ``spec.hyper_names`` order). Each field draw is made on the whole mesh
+    and kept on the grid cells alone (``PosteriorDraws.w``). On Linux the
+    fit runs with one OpenBLAS thread (``_one_blas_thread``).
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
@@ -661,8 +675,9 @@ def fit(
     weights /= weights.sum()
 
     counts = rng.multinomial(n_draws, weights)
+    grid_nodes = like.mesh.grid_to_mesh if n_w else np.zeros(0, dtype=int)
     dense = np.empty((n_draws, spec.n_dense))
-    w_draws = np.empty((n_draws, n_w))
+    w_draws = np.empty((n_draws, grid_nodes.size))
     log_hyper = np.empty((n_draws, h))
     pos = 0
     for g in np.flatnonzero(counts):
@@ -674,13 +689,16 @@ def fit(
         z_w = rng.standard_normal((n_w, n_g))
         z_d = rng.standard_normal((spec.n_dense, n_g))
         x_w, x_d = factor.sample(z_w, z_d)
-        w_draws[pos : pos + n_g] = (point.u_w[:, None] + x_w).T
+        # only the grid nodes' rows, added straight into the draws
+        np.add(point.u_w[grid_nodes], np.take(x_w, grid_nodes, axis=0).T,
+               out=w_draws[pos : pos + n_g])
         dense[pos : pos + n_g] = (point.u_d[:, None] + x_d).T
         pos += n_g
+        # free this group's factor and normals before the next group builds its own
+        del factor, z_w, x_w
 
     return PosteriorDraws(
         spec=spec,
-        mesh=like.mesh,
         dense=dense,
         w=w_draws,
         log_hyper=log_hyper,

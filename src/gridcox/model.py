@@ -127,7 +127,9 @@ class EffectVector:
     """One realization of all model effects.
 
     ``dense`` holds the dense effects in ``spec.dense_names`` order; ``w``
-    the field on the mesh (length mesh.n, or 0 for field-free models).
+    the field on the raster grid's cells, indexed by flat cell id (length
+    grid.n_cells, or 0 for field-free models). The mesh halo around the grid
+    is a boundary device of the prior and is not kept.
     """
 
     dense: np.ndarray
@@ -140,9 +142,10 @@ class CellDesign:
 
     The N rows are the cells of each campaign's domain, campaign by campaign
     in 1..T order; ``rows[t]`` is campaign t's slice of them. ``cell_ids``
-    holds each row's flat grid cell id and ``mesh_index`` its mesh node
-    (empty when the model has no field). ``weight`` is the cell area, the
-    quadrature weight of every row. ``x`` (N x n_dense) has one column per
+    holds each row's flat grid cell id, where the linear predictor reads the
+    field, and ``mesh_index`` its mesh node (empty when the model has no
+    field), where Newton reads its latent vector on the mesh. ``weight`` is
+    the cell area, the quadrature weight of every row. ``x`` (N x n_dense) has one column per
     entry of ``spec.dense_columns``, filled by its kind: ones (intercept),
     the covariate's values (covariate), the meadow indicator z (effort), or
     the campaign's one-hot rows (campaign).
@@ -150,7 +153,9 @@ class CellDesign:
     The likelihood also keeps a design of one row per group of cells that
     share a design row and a mesh node (``GriddedLikelihood.groups``). Its
     rows are the groups, in order of their first cell, and its ``cell_ids``
-    are those first cells; ``rows[t]`` slices campaign t's groups.
+    are those first cells; ``rows[t]`` slices campaign t's groups. Only a
+    field-free group spans several cells, so reading the field at the first
+    cell reads it at every cell of the group.
     """
 
     cell_ids: np.ndarray
@@ -165,25 +170,28 @@ class CellDesign:
 
     def eta(self, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
         """log lambda of every row: (N,) for one effect vector, (A, N) for
-        draws stacked along the first axis."""
+        draws stacked along the first axis. ``w`` is the field on the grid
+        cells (``EffectVector``), read at ``cell_ids``; a field-free design
+        reads none of it."""
         out = dense @ self.x.T
         if self.mesh_index.size:
-            out += w[..., self.mesh_index]
+            out += w[..., self.cell_ids]
         return out
 
     def eta_blocks(self, dense: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
         """The log-intensities of draws ``dense`` (A, n_dense) and ``w``
-        (A, mesh.n), ``ETA_BLOCK_DRAWS`` draws at a time: yields (slice of the
-        draws, block of their eta). ``rows`` picks and orders the design rows
-        (all, in order, by default); the scoring passes the rows of the
+        (A, grid cells), ``ETA_BLOCK_DRAWS`` draws at a time: yields (slice of
+        the draws, block of their eta). ``rows`` picks and orders the design
+        rows (all, in order, by default); the scoring passes the rows of the
         likelihood's group design, so a block holds one column per group, or
-        per (subset, group) pair, not per cell. Every block is the same
+        per (subset, group) pair, not per cell, each reading the field at its
+        cell id. Every block is the same
         buffer, overwritten by the next, so the caller may also overwrite it.
         The blocks hold at most two buffers of memory, never an (A, N) array."""
         if rows is None:
             rows = np.arange(self.n_cells)
         xt = np.ascontiguousarray(self.x[rows].T)
-        index = self.mesh_index[rows] if self.mesh_index.size else None
+        index = self.cell_ids[rows] if self.mesh_index.size else None
         n_draws = dense.shape[0]
         buf = np.empty((min(n_draws, ETA_BLOCK_DRAWS), rows.size))
         gathered = np.empty_like(buf) if index is not None else None
@@ -193,7 +201,7 @@ class CellDesign:
             np.matmul(dense[draws], xt, out=block)
             if index is not None:
                 w_block = gathered[: draws.stop - start]
-                # mesh_index is in range: clip skips numpy's check and its copy
+                # cell ids are in range: clip skips numpy's check and its copy
                 np.take(w[draws], index, axis=1, out=w_block, mode="clip")
                 block += w_block
             yield draws, block

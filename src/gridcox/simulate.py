@@ -97,7 +97,7 @@ def _draw_effects(scn: Scenario, mesh: LatticeMesh | None, rng: np.random.Genera
     spec = scn.spec
     if spec.include_field:
         prec = build_precision(mesh, scn.hyper)
-        w = sample_field(prec, 1, rng)[0]
+        w = sample_field(prec, 1, rng)[0, mesh.grid_to_mesh]
     else:
         w = np.zeros(0)
     mu_t = scn.mu_t
@@ -160,7 +160,7 @@ def expected_count(scn: Scenario, effects: EffectVector | None = None) -> dict[i
     else:
         campaign_corr = [1.0]
     base = _truth_dense(scn, mu_t=np.zeros(spec.n_campaigns))
-    lam = np.exp(design.eta(base, np.zeros(mesh.n if mesh is not None else 0)))
+    lam = np.exp(design.eta(base, np.zeros(scn.stack.grid.n_cells if mesh is not None else 0)))
     return {
         t: float(lam[rows].sum() * design.weight) * field_corr * campaign_corr[t - 1]
         for t, rows in design.rows.items()

@@ -131,7 +131,6 @@ def constant_intensity_draws(spec, lam, n_draws=3):
     dense[:, 0] = math.log(lam)  # the intercept; campaign effects stay 0
     return PosteriorDraws(
         spec=spec,
-        mesh=None,
         dense=dense,
         w=np.zeros((n_draws, 0)),
         log_hyper=np.zeros((n_draws, 0)),

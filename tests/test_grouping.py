@@ -92,19 +92,25 @@ class TestGroupedAgainstCells:
         tau = 4.0 if spec.has_campaign_effects else None
         return inference._inner_at(like, hyper, tau), u_w, u_d
 
+    @staticmethod
+    def cell_eta(like, u_w, u_d):
+        """Every cell's log-intensity, the mesh vector ``u_w`` read on the grid."""
+        w = u_w[like.mesh.grid_to_mesh] if like.n_mesh else u_w
+        return like.design.eta(u_d, w)
+
     def test_loglik(self, grouped):
         like, y, *_ = grouped
         inner, u_w, u_d = self.state(like)
         design = like.design
-        expect = poisson.logpmf(y, design.weight * np.exp(design.eta(u_d, u_w))).sum()
-        got = like.loglik(like.groups.eta(u_d, u_w), with_const=True)
+        expect = poisson.logpmf(y, design.weight * np.exp(self.cell_eta(like, u_w, u_d))).sum()
+        got = like.loglik(inner.eta(u_w, u_d), with_const=True)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_gradient(self, grouped):
         like, y, *_ = grouped
         inner, u_w, u_d = self.state(like)
         design = like.design
-        resid = y - design.weight * np.exp(design.eta(u_d, u_w))
+        resid = y - design.weight * np.exp(self.cell_eta(like, u_w, u_d))
         g_d = design.x.T @ resid - inner.dense_prior * u_d
         g_w, got_d = inner.gradient(u_w, u_d)
         np.testing.assert_allclose(got_d, g_d, rtol=1e-12)
@@ -116,7 +122,7 @@ class TestGroupedAgainstCells:
         like, _, *_ = grouped
         inner, u_w, u_d = self.state(like)
         design, n = like.design, like.n_mesh
-        mu = design.weight * np.exp(design.eta(u_d, u_w))
+        mu = design.weight * np.exp(self.cell_eta(like, u_w, u_d))
         # the latent vector's loadings on every cell: its mesh node, then x
         onto = np.zeros((design.n_cells, n))
         if n:

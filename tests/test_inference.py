@@ -314,7 +314,7 @@ class TestFieldFit:
 
     def test_field_mean_tracks_truth(self, field_fit):
         scn, survey, like, draws = field_fit
-        idx = like.design.mesh_index
+        idx = like.design.cell_ids
         truth = survey.effects.w[idx]
         post = draws.w.mean(axis=0)[idx]
         corr = np.corrcoef(truth, post)[0, 1]
@@ -592,7 +592,7 @@ class TestEndElimination:
 
     def dense_hessian(self, like, inner, u_w, u_d):
         design, n = like.design, like.n_mesh
-        w = design.weight * np.exp(design.eta(u_d, u_w))
+        w = design.weight * np.exp(design.eta(u_d, u_w[like.mesh.grid_to_mesh]))
         onto = np.zeros((design.n_cells, n))
         onto[np.arange(design.n_cells), design.mesh_index] = 1.0
         a = np.column_stack([onto, design.x])
@@ -638,16 +638,16 @@ class TestEndElimination:
 
 def random_draws(spec, mesh, n_draws, seed):
     """Effect draws whose intensity is near the surveys': the intercept
-    about log(0.002) per m^2, every other effect and the field around 0."""
+    about log(0.002) per m^2, every other effect and the field around 0. The
+    field is drawn on the grid cells of ``mesh``."""
     rng = np.random.default_rng(seed)
     dense = rng.normal(0.0, 0.3, (n_draws, spec.n_dense))
     dense[:, 0] += math.log(0.002)
     h = len(spec.hyper_names)
     return PosteriorDraws(
         spec=spec,
-        mesh=mesh,
         dense=dense,
-        w=rng.normal(0.0, 0.5, (n_draws, mesh.n if mesh is not None else 0)),
+        w=rng.normal(0.0, 0.5, (n_draws, mesh.grid_to_mesh.size if mesh is not None else 0)),
         log_hyper=np.zeros((n_draws, h)),
         theta_mode=np.zeros(h),
     )

@@ -92,7 +92,7 @@ class TestDesignAndIntensity:
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(1)
-        dense, w = rng.standard_normal(spec.n_dense), rng.standard_normal(mesh.n)
+        dense, w = rng.standard_normal(spec.n_dense), rng.standard_normal(stack.grid.n_cells)
         got = design.eta(dense, w)
         assert got.shape == (sum(doms[t].cell_ids.size for t in doms),)
         eff = dict(zip(spec.dense_names, dense))
@@ -103,7 +103,7 @@ class TestDesignAndIntensity:
                 eff["mu0"]
                 + np.column_stack([stack.values_at(n, cells) for n in spec.covariates]) @ beta
                 + eff["gamma"] * stack.z_at(cells)
-                + w[mesh.grid_to_mesh[cells]]
+                + w[cells]
                 + eff[f"mu[{t}]"]
             )
             np.testing.assert_array_equal(design.cell_ids[design.rows[t]], cells)
@@ -116,7 +116,7 @@ class TestDesignAndIntensity:
         design = build_design(spec, stack, {1: d, 2: d1}, mesh)
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((4, spec.n_dense))
-        w = rng.standard_normal((4, mesh.n))
+        w = rng.standard_normal((4, stack.grid.n_cells))
         stacked = design.eta(dense, w)
         assert stacked.shape == (4, design.n_cells)
         for a in range(4):
@@ -147,7 +147,8 @@ class TestDesignAndIntensity:
         design = build_design(spec, stack, doms, mesh)
         rng = np.random.default_rng(2)
         eff = EffectVector(
-            dense=0.1 * rng.standard_normal(spec.n_dense), w=0.1 * rng.standard_normal(mesh.n)
+            dense=0.1 * rng.standard_normal(spec.n_dense),
+            w=0.1 * rng.standard_normal(stack.grid.n_cells),
         )
         parts = decompose_intensity(spec, eff, design)
         np.testing.assert_allclose(
@@ -166,7 +167,7 @@ class TestDesignAndIntensity:
         spec = full_spec()
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=50.0)
         design = build_design(spec, stack, {t: d for t in range(1, 10)}, mesh)
-        eff = EffectVector(dense=np.zeros(spec.n_dense), w=np.zeros(mesh.n))
+        eff = EffectVector(dense=np.zeros(spec.n_dense), w=np.zeros(stack.grid.n_cells))
         eff.dense[spec.dense_names.index("gamma")] = -0.4
         parts = decompose_intensity(spec, eff, design)
         in_d1 = d1.included.ravel()[design.cell_ids]

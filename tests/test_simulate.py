@@ -145,8 +145,7 @@ class TestFieldScenario:
             hyper=MaternHyper(sigma=0.5, rho=40.0),
         )
         survey = simulate_lgcp(scn, np.random.default_rng(31))
-        mesh = scn.build_mesh()
-        assert survey.effects.w.shape == (mesh.n,)
+        assert survey.effects.w.shape == (stack.grid.n_cells,)
         assert survey.log_lambda.shape == (d.cell_ids.size,)
         np.testing.assert_array_equal(survey.design.cell_ids[survey.design.rows[1]], d.cell_ids)
         # conditional expected count from the returned truth matches log_lambda

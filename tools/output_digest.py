@@ -10,7 +10,10 @@ diffing the output compares them. One line per output:
 
 ``field_fit_96``
     the fit's ``dense``, ``w`` and ``log_hyper`` draws, the summary, the DIC
-    and the diagnostics;
+    and the diagnostics. ``w`` is digested on the grid cells: draws kept on
+    the whole mesh, halo included, are first read at ``mesh.grid_to_mesh``,
+    so a checkout that keeps them mesh-wide and one that keeps them on the
+    grid give the same digest when the values agree;
 ``glm_study_64``
     the ``run_study`` table's ``scores``, ``by_subset``, ``mean_residual``
     and DIC;
@@ -79,9 +82,10 @@ def field_fit(workload, inp: dict) -> dict:
     like = inference.bin_points(inp["spec"], stack, inp["domains"], inp["points"], mesh=mesh)
     post = inference.fit(like, n_draws=800, rng=derive_rng(7, "ac5-fit", inp["entry"]))
     summ = inference.summarize(post)
+    w = post.w[:, mesh.grid_to_mesh] if post.w.shape[1] == mesh.n else post.w
     return {
         "dense": post.dense,
-        "w": post.w,
+        "w": w,
         "log_hyper": post.log_hyper,
         "summary": vars(summ),
         "dic": vars(inference.compute_dic(like, post)),
