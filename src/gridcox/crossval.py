@@ -12,16 +12,24 @@ are one A x K x G array. The CRPS of each fold's residual ensemble against 0
 is averaged over folds (one score per subset), then pooled into a single
 score per model. Lower is better.
 
+Residuals are computed in two steps: ``ResidualPairing.build`` reduces a
+model's cells to (subset, group) pairs once, and ``validation_residuals``
+scores one fold's draws and validation points against that pairing.
+
 The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
 thread, in the caller's process at one worker and in a pool of worker
-processes above one. The caller holds that one thread for the whole study,
-and above one worker keeps it after the study. On Linux the workers are
-forked from it: they inherit the count of 1, start no OpenBLAS threads, and
-need no ``if __name__ == "__main__":`` guard in the calling script.
-Elsewhere they are spawned, re-import the calling script and need the
-guard, and nothing pins OpenBLAS. Fold marks are drawn once per study; every
-task derives its own generator from (seed, model, fold), so results are
-identical for any worker count.
+processes above one. Each model is binned on all points and paired once per
+study, in the caller or in each forked worker that runs its tasks; a fold
+recounts only its training points on those bins. The caller holds that one
+thread for the whole study, and above one worker keeps it after the study.
+On Linux the workers are forked from it: they inherit the study from its
+memory, so no task carries it, inherit the count of 1, start no OpenBLAS
+threads, and need no ``if __name__ == "__main__":`` guard in the calling
+script. Elsewhere they are spawned and receive the study with each task,
+which bins and pairs its model itself; they re-import the calling script and
+need the guard, and nothing pins OpenBLAS. Fold marks are drawn once per
+study; every task derives its own generator from (seed, model, fold), so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .inference import (
     fit,
     summarize,
 )
-from .model import ModelSpec
+from .model import CellDesign, ModelSpec
 
 __all__ = [
     "FoldAssignment",
@@ -58,6 +66,8 @@ __all__ = [
     "split",
     "thin_intensity",
     "subset_slices",
+    "subset_columns",
+    "ResidualPairing",
     "validation_residuals",
     "crps_empirical",
     "aggregate_crps",
@@ -135,11 +145,77 @@ def subset_slices(partitions: dict[int, PartitionScheme]) -> dict[int, slice]:
     return out
 
 
+def subset_columns(partitions: dict[int, PartitionScheme], points: PointPattern) -> np.ndarray:
+    """The stacked subset column of each point: its subset of its campaign's
+    partition, in that campaign's columns (``subset_slices``)."""
+    out = np.full(points.n, -1)
+    for t, cols in subset_slices(partitions).items():
+        mine = points.campaign == t
+        g = partitions[t].subset_of_points(points.x[mine], points.y[mine])
+        if np.any(g < 0):
+            raise ValueError(f"campaign {t}: points outside the partition")
+        out[mine] = cols.start + g
+    unplaced = int(np.sum(out < 0))
+    if unplaced:
+        raise ValueError(f"{unplaced} points belong to no partitioned campaign")
+    return out
+
+
+@dataclass(frozen=True)
+class ResidualPairing:
+    """A likelihood's groups paired with the stacked subsets they integrate
+    over, for scoring residuals (``validation_residuals``).
+
+    Each campaign's cells are reduced to (subset, group) pairs, by subset then
+    group, each weighted by its cell count, so every subset is one contiguous
+    segment of pairs: ``group`` holds each pair's group (a row of ``groups``),
+    ``n_cells`` its cell count, ``filled`` marks the subsets with design rows
+    and ``starts`` holds the first pair of each of them. In a field model
+    every group is one cell and every pair a cell. The pairing reads the
+    cells, not their counts, so the folds of a study share their model's.
+    """
+
+    groups: CellDesign
+    group: np.ndarray
+    n_cells: np.ndarray
+    filled: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(
+        cls, like: GriddedLikelihood, partitions: dict[int, PartitionScheme]
+    ) -> "ResidualPairing":
+        design = like.design
+        n_groups = like.groups.n_cells
+        pair_group, pair_cells, sizes = [], [], []
+        for t in subset_slices(partitions):
+            rows = design.rows[t]
+            part = partitions[t]
+            g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
+            if np.any(g_of_cell < 0):
+                raise ValueError(f"campaign {t}: partition does not cover the domain")
+            pairs, n_cells = np.unique(g_of_cell * n_groups + like.group_of[rows],
+                                       return_counts=True)
+            pair_group.append(pairs % n_groups)
+            pair_cells.append(n_cells)
+            sizes.append(np.bincount(pairs // n_groups, minlength=part.n_subsets))
+        sizes = np.concatenate(sizes)
+        # a subset without design rows integrates to 0; reduceat would instead
+        # return the pair its empty segment starts at, so it sums only the others
+        filled = sizes > 0
+        return cls(
+            groups=like.groups,
+            group=np.concatenate(pair_group),
+            n_cells=np.concatenate(pair_cells),
+            filled=filled,
+            starts=(np.cumsum(sizes) - sizes)[filled],
+        )
+
+
 def validation_residuals(
     draws: PosteriorDraws,
-    like: GriddedLikelihood,
-    partitions: dict[int, PartitionScheme],
-    val_points: PointPattern,
+    pairing: ResidualPairing,
+    val_columns: np.ndarray,
     n_folds: int,
 ) -> np.ndarray:
     """Raw residual draws for one fold: observed validation counts minus
@@ -147,52 +223,23 @@ def validation_residuals(
 
     ``draws`` must come from a fit to the fold's training points with
     unscaled exposures, so its intensity estimates the thinned training rate.
-    Returns one (A, G) array over the stacked subsets of all campaigns;
-    ``subset_slices(partitions)[t]`` holds campaign t's columns.
+    ``pairing`` pairs that likelihood's groups with the subsets, and
+    ``val_columns`` holds the stacked subset column of each validation point
+    (``subset_columns``). Returns one (A, G) array over the stacked subsets of
+    all campaigns; ``subset_slices(partitions)[t]`` holds campaign t's columns.
 
-    A subset's integral runs over the likelihood's groups (cells sharing a
-    design row and a mesh node, ``GriddedLikelihood``): each campaign's cells
-    are reduced once to (subset, group) pairs, by subset then group, each
-    weighted by its cell count, so every subset is one contiguous segment of
-    pairs. In a field model every group is one cell and every pair a cell.
-    The intensity draws of the pairs' groups are then made in blocks
-    (``CellDesign.eta_blocks``), exponentiated in place, weighted and summed
-    segment by segment (``np.add.reduceat``): memory stays at two blocks of
-    eta, never an (A, N) array.
+    The intensity draws of the pairs' groups are made in blocks
+    (``CellDesign.eta_blocks``), exponentiated in place, weighted by the
+    pairs' cell counts and summed segment by segment (``np.add.reduceat``):
+    memory stays at two blocks of eta, never an (A, N) array.
     """
-    design = like.design
-    n_groups = like.groups.n_cells
-    pair_group, pair_cells, sizes, counts = [], [], [], []
-    for t in subset_slices(partitions):
-        rows = design.rows[t]
-        part = partitions[t]
-        g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
-        if np.any(g_of_cell < 0):
-            raise ValueError(f"campaign {t}: partition does not cover the domain")
-        pairs, n_cells = np.unique(g_of_cell * n_groups + like.group_of[rows],
-                                   return_counts=True)
-        pair_group.append(pairs % n_groups)
-        pair_cells.append(n_cells)
-        sizes.append(np.bincount(pairs // n_groups, minlength=part.n_subsets))
-
-        pts = val_points.for_campaign(t)
-        g_of_point = part.subset_of_points(pts.x, pts.y)
-        if np.any(g_of_point < 0):
-            raise ValueError(f"campaign {t}: validation points outside the partition")
-        counts.append(np.bincount(g_of_point, minlength=part.n_subsets))
-    sizes = np.concatenate(sizes)
-    # a subset without design rows integrates to 0; reduceat would instead
-    # return the pair its empty segment starts at, so it sums only the others
-    filled = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[filled]
-    pair_cells = np.concatenate(pair_cells)
-    out = np.zeros((draws.n_draws, sizes.size))
-    for a, lam in like.groups.eta_blocks(draws.dense, draws.w, np.concatenate(pair_group)):
+    out = np.zeros((draws.n_draws, pairing.filled.size))
+    for a, lam in pairing.groups.eta_blocks(draws.dense, draws.w, pairing.group):
         np.exp(lam, out=lam)
-        lam *= pair_cells
-        out[a, filled] = np.add.reduceat(lam, starts, axis=1)
-    out *= -(design.weight / (n_folds - 1))
-    out += np.concatenate(counts)
+        lam *= pairing.n_cells
+        out[a, pairing.filled] = np.add.reduceat(lam, pairing.starts, axis=1)
+    out *= -(pairing.groups.weight / (n_folds - 1))
+    out += np.bincount(val_columns, minlength=pairing.filled.size)
     return out
 
 
@@ -292,7 +339,20 @@ def derive_rng(seed: int, *parts) -> np.random.Generator:
 
 
 @dataclass
-class _StudyPayload:
+class _Study:
+    """One ``run_study`` call: its inputs, and what its tasks derive from
+    them once.
+
+    Each model's likelihood over all points with each point's design row
+    (``binned``) and its residual pairing (``pairing``), and each point's
+    stacked subset column (``subset_columns``), are built on first use and
+    kept in ``_cache``: in the caller at one worker, in each forked worker of
+    a pool. A fold then only recounts its training points
+    (``fold_likelihood``) and picks its validation points' columns
+    (``validation_columns``). The cache is per process and left out of the
+    pickle, so a spawned worker's task carries the inputs alone.
+    """
+
     stack: CovariateStack
     campaign_domains: dict[int, DomainMask]
     points: PointPattern
@@ -302,20 +362,61 @@ class _StudyPayload:
     seed: int
     partitions: dict[int, PartitionScheme]
     fail_fast: bool = True
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _cache={})
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def binned(self, model_idx: int) -> tuple[GriddedLikelihood, np.ndarray]:
+        """The model's likelihood of all points, and each point's design row."""
+
+        def build():
+            spec = self.specs[model_idx]
+            mesh = (LatticeMesh.for_grid(self.stack.grid, rho_ref=spec.pc_prior.rho0)
+                    if spec.include_field else None)
+            like = bin_points(spec, self.stack, self.campaign_domains, self.points, mesh=mesh)
+            return like, like.design.rows_of_points(self.stack.grid, self.points)
+
+        return self._cached(("binned", model_idx), build)
+
+    def fold_likelihood(self, model_idx: int, k: int) -> GriddedLikelihood:
+        """The model's likelihood of fold k's training points, the points
+        without mark k, recounted on its cells and groups."""
+        like, rows = self.binned(model_idx)
+        train = rows[self.folds.marks != k]
+        return like.with_counts(np.bincount(train, minlength=like.design.n_cells))
+
+    def pairing(self, model_idx: int) -> ResidualPairing:
+        return self._cached(
+            ("pairing", model_idx),
+            lambda: ResidualPairing.build(self.binned(model_idx)[0], self.partitions),
+        )
+
+    def validation_columns(self, k: int) -> np.ndarray:
+        """The stacked subset columns of fold k's validation points."""
+        cols = self._cached("columns", lambda: subset_columns(self.partitions, self.points))
+        return cols[self.folds.marks == k]
 
 
-def _build_mesh(spec: ModelSpec, stack: CovariateStack) -> LatticeMesh | None:
-    if not spec.include_field:
-        return None
-    return LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
+# The study of a forked pool, set before its workers fork: they find it in
+# the memory they inherit, and their tasks receive None in its place.
+_forked_study: _Study | None = None
 
 
-def _full_fit_task(p: _StudyPayload, model_idx: int):
+def _full_fit_task(study: _Study | None, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
+    p = _forked_study if study is None else study
     spec = p.specs[model_idx]
     try:
-        mesh = _build_mesh(spec, p.stack)
-        like = bin_points(spec, p.stack, p.campaign_domains, p.points, mesh=mesh)
+        like = p.binned(model_idx)[0]
         rng = derive_rng(p.seed, spec.model_id, "full")
         draws = fit(like, n_draws=p.n_draws, rng=rng)
     except Exception as e:
@@ -331,17 +432,18 @@ def _full_fit_task(p: _StudyPayload, model_idx: int):
     )
 
 
-def _fold_fit_task(p: _StudyPayload, model_idx: int, k: int, theta_init: np.ndarray):
+def _fold_fit_task(study: _Study | None, model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals."""
+    p = _forked_study if study is None else study
     spec = p.specs[model_idx]
     try:
-        mesh = _build_mesh(spec, p.stack)
-        train, val = split(p.points, p.folds, k)
-        like = bin_points(spec, p.stack, p.campaign_domains, train, mesh=mesh)
+        like = p.fold_likelihood(model_idx, k)
         rng = derive_rng(p.seed, spec.model_id, "fold", k)
         draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init)
-        resid = validation_residuals(draws, like, p.partitions, val, p.folds.n_folds)
+        resid = validation_residuals(
+            draws, p.pairing(model_idx), p.validation_columns(k), p.folds.n_folds
+        )
     except Exception as e:
         if p.fail_fast:
             raise
@@ -379,24 +481,30 @@ def run_study(
 
     Fold marks are drawn once from (seed, "folds"). Every model is first fit
     to the full data (DIC, posterior summary, warm start), then once per
-    fold; fold fits are scored by subset residuals and pooled CRPS. On Linux
-    every fit runs with one OpenBLAS thread, so the result is byte-identical
-    for any ``workers`` value under a fixed seed. The caller's process holds
-    one thread from the first fit on. At ``workers=1`` it gets its previous
-    counts back on return. Above one it keeps one thread: the pool's fork
-    stops the caller's OpenBLAS threads, and restoring a count would start
-    them again, to busy-wait after this call has returned.
+    fold; fold fits are scored by subset residuals and pooled CRPS. Each
+    model is binned on all points and paired with the subsets once per
+    study, in the caller or in each forked worker that runs its fits: a fold
+    recounts only its training points on those bins and scores against that
+    pairing. On Linux every fit runs with one OpenBLAS thread, so the result
+    is byte-identical for any ``workers`` value under a fixed seed. The
+    caller's process holds one thread from the first fit on. At
+    ``workers=1`` it gets its previous counts back on return. Above one it
+    keeps one thread: the pool's fork stops the caller's OpenBLAS threads,
+    and restoring a count would start them again, to busy-wait after this
+    call has returned.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
     run in a process pool of at most one worker per fold fit
     (``len(specs) * n_folds``): a forked pool starts all its workers at once,
-    however few tasks it gets. On Linux its workers are forked from the caller:
-    they start with its imported modules and its count of one thread, start
-    no OpenBLAS threads of their own, and do not re-run its main module, so
-    a script needs no guard. Elsewhere nothing pins OpenBLAS, and the
-    workers are spawned and re-import the caller's main module: a script
-    must then keep its entry point under an ``if __name__ == "__main__":``
-    guard, and without one this call raises ``BrokenProcessPool``.
+    however few tasks it gets. On Linux its workers are forked from the caller: they
+    start with its imported modules, the study and its count of one thread,
+    so no task carries the study; they start no OpenBLAS threads of their
+    own, and do not re-run its main module, so a script needs no guard.
+    Elsewhere nothing pins OpenBLAS, and the workers are spawned, receive
+    the study with each task (which then bins and pairs its model itself),
+    and re-import the caller's main module: a script must then keep its
+    entry point under an ``if __name__ == "__main__":`` guard, and without
+    one this call raises ``BrokenProcessPool``.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues.
@@ -406,7 +514,7 @@ def run_study(
         raise ValueError("duplicate model ids")
     folds = assign_folds(points, n_folds, derive_rng(seed, "folds"))
     partitions = build_partitions(campaign_domains, *partition_dims)
-    payload = _StudyPayload(
+    study = _Study(
         stack=stack,
         campaign_domains=campaign_domains,
         points=points,
@@ -430,32 +538,40 @@ def run_study(
         context = ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
     else:
         context = _one_blas_thread()  # in-process fits; restored after them
-    with context as pool:
-        run = pool.map if workers > 1 else map
-        theta_init: dict[int, np.ndarray] = {}
-        for model_idx, dic_res, summary, theta, err in run(
-            _full_fit_task, repeat(payload), range(len(specs))
-        ):
-            if err is not None:
-                failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
-                continue
-            dic[ids[model_idx]] = dic_res
-            summaries[ids[model_idx]] = summary
-            theta_init[model_idx] = theta
+    # forked workers inherit the study; spawned ones receive it with each task
+    forked = workers > 1 and _MP_CONTEXT.get_start_method() == "fork"
+    global _forked_study
+    _forked_study = study if forked else None
+    sent = repeat(None if forked else study)
+    try:
+        with context as pool:
+            run = pool.map if workers > 1 else map
+            theta_init: dict[int, np.ndarray] = {}
+            for model_idx, dic_res, summary, theta, err in run(
+                _full_fit_task, sent, range(len(specs))
+            ):
+                if err is not None:
+                    failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
+                    continue
+                dic[ids[model_idx]] = dic_res
+                summaries[ids[model_idx]] = summary
+                theta_init[model_idx] = theta
 
-        # fold fits warm-start from their model's full-fit hyper mode
-        tasks = [(i, k) for i in theta_init for k in range(1, n_folds + 1)]
-        for model_idx, k, resid, err in run(
-            _fold_fit_task,
-            repeat(payload),
-            [i for i, _ in tasks],
-            [k for _, k in tasks],
-            [theta_init[i] for i, _ in tasks],
-        ):
-            if err is not None:
-                failures.setdefault(ids[model_idx], []).append(f"fold {k}: {err}")
-            else:
-                results[(model_idx, k)] = resid
+            # fold fits warm-start from their model's full-fit hyper mode
+            tasks = [(i, k) for i in theta_init for k in range(1, n_folds + 1)]
+            for model_idx, k, resid, err in run(
+                _fold_fit_task,
+                sent,
+                [i for i, _ in tasks],
+                [k for _, k in tasks],
+                [theta_init[i] for i, _ in tasks],
+            ):
+                if err is not None:
+                    failures.setdefault(ids[model_idx], []).append(f"fold {k}: {err}")
+                else:
+                    results[(model_idx, k)] = resid
+    finally:
+        _forked_study = None
 
     cols = subset_slices(partitions)
     scores: dict[str, float] = {}

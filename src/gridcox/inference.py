@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -197,9 +197,16 @@ class GriddedLikelihood:
             design=design,
             groups=groups,
             group_of=group_of,
-            y=np.bincount(group_of, weights=y, minlength=first.size),
             exposure=design.weight * np.bincount(group_of, minlength=first.size),
-            loglik_const=float(y.sum() * math.log(design.weight) - gammaln(y + 1.0).sum()),
+            **_counted(group_of, first.size, design.weight, y),
+        )
+
+    def with_counts(self, y: np.ndarray) -> "GriddedLikelihood":
+        """The likelihood of other counts ``y`` (one per design row) on the
+        same cells and groups: only ``y`` and ``loglik_const`` change. A
+        cross-validation fold recounts its training points this way."""
+        return replace(
+            self, **_counted(self.group_of, self.groups.n_cells, self.design.weight, y)
         )
 
     @property
@@ -232,6 +239,15 @@ class GriddedLikelihood:
         return total + self.loglik_const if with_const else total
 
 
+def _counted(group_of: np.ndarray, n_groups: int, weight: float, y: np.ndarray) -> dict:
+    """The count fields of a ``GriddedLikelihood`` from cell counts ``y``:
+    each group's count total, and the eta-free terms summed over the cells."""
+    return dict(
+        y=np.bincount(group_of, weights=y, minlength=n_groups),
+        loglik_const=float(y.sum() * math.log(weight) - gammaln(y + 1.0).sum()),
+    )
+
+
 def bin_points(
     spec: ModelSpec,
     stack: CovariateStack,
@@ -242,30 +258,12 @@ def bin_points(
     """Reduce a point pattern to cell counts on the stacked cell design, and
     group the cells by design row and mesh node (``GriddedLikelihood``).
 
-    Every point must fall in a cell of its campaign's domain; stray points
-    (campaign label outside 1..T, outside the grid, on an unclassified cell,
-    or in the wrong sub-domain) are a hard error rather than silently dropped.
+    Every point must fall in a cell of its campaign's domain
+    (``CellDesign.rows_of_points``): a stray point is a hard error rather than
+    silently dropped.
     """
     design = build_design(spec, stack, campaign_domains, mesh)
-    n_t = spec.n_campaigns
-    unlabelled = int(np.sum((points.campaign < 1) | (points.campaign > n_t)))
-    if unlabelled:
-        raise ValueError(f"{unlabelled} points have a campaign label outside 1..{n_t}")
-    grid = stack.grid
-    y = np.empty(design.n_cells)
-    for t, rows in design.rows.items():
-        pts = points.for_campaign(t)
-        cells = grid.cell_of_points(pts.x, pts.y)
-        ids = design.cell_ids[rows]
-        node_of = np.full(grid.n_cells, -1, dtype=int)
-        node_of[ids] = np.arange(ids.size)
-        node = np.where(cells >= 0, node_of[cells], -1)
-        stray = int(np.sum(node < 0))
-        if stray:
-            raise ValueError(
-                f"campaign {t}: {stray} points fall outside the campaign domain"
-            )
-        y[rows] = np.bincount(node, minlength=ids.size)
+    y = np.bincount(design.rows_of_points(stack.grid, points), minlength=design.n_cells)
     return GriddedLikelihood.from_cells(spec, mesh if spec.include_field else None, design, y)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodata import CovariateStack, DomainMask
+from .geodata import CovariateStack, DomainMask, PointPattern, RasterGrid
 from .gmrf import LatticeMesh, PcPriorSpec
 
 __all__ = [
@@ -167,6 +167,34 @@ class CellDesign:
     @property
     def n_cells(self) -> int:
         return self.cell_ids.size
+
+    def rows_of_points(self, grid: RasterGrid, points: PointPattern) -> np.ndarray:
+        """The design row of each point: the row of its cell among its
+        campaign's rows.
+
+        Every point must fall in a cell of its campaign's domain; stray points
+        (campaign label outside 1..T, outside the grid, on an unclassified
+        cell, or in the wrong sub-domain) are a hard error rather than
+        silently dropped.
+        """
+        n_t = len(self.rows)
+        unlabelled = int(np.sum((points.campaign < 1) | (points.campaign > n_t)))
+        if unlabelled:
+            raise ValueError(f"{unlabelled} points have a campaign label outside 1..{n_t}")
+        out = np.empty(points.n, dtype=int)
+        for t, rows in self.rows.items():
+            mine = points.campaign == t
+            cells = grid.cell_of_points(points.x[mine], points.y[mine])
+            row_of = np.full(grid.n_cells, -1, dtype=int)
+            row_of[self.cell_ids[rows]] = np.arange(rows.start, rows.stop)
+            row = np.where(cells >= 0, row_of[cells], -1)
+            stray = int(np.sum(row < 0))
+            if stray:
+                raise ValueError(
+                    f"campaign {t}: {stray} points fall outside the campaign domain"
+                )
+            out[mine] = row
+        return out
 
     def eta(self, dense: np.ndarray, w: np.ndarray) -> np.ndarray:
         """log lambda of every row: (N,) for one effect vector, (A, N) for

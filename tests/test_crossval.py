@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from gridcox import crossval, inference, model
 from gridcox.crossval import (
     FoldAssignment,
+    ResidualPairing,
     aggregate_crps,
     assign_folds,
     build_partitions,
@@ -20,6 +22,7 @@ from gridcox.crossval import (
     rank_models,
     run_study,
     split,
+    subset_columns,
     subset_slices,
     thin_intensity,
     validation_residuals,
@@ -163,9 +166,9 @@ class TestValidationResiduals:
         like = bin_points(spec, stack, {1: d}, train)
         lam_train = 0.002  # fitted training intensity, constant over cells
         partitions = build_partitions({1: d}, 3, 3)
-        resid = validation_residuals(
-            constant_intensity_draws(spec, lam_train), like, partitions, val, k_folds
-        )
+        pairing = ResidualPairing.build(like, partitions)
+        draws = constant_intensity_draws(spec, lam_train)
+        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), k_folds)
         part = partitions[1]
         assert resid.shape == (3, part.n_subsets)
         expect = constant_intensity_oracle(part, d.grid.cell_area, val, lam_train, k_folds)
@@ -190,7 +193,8 @@ class TestValidationResiduals:
 
         lam_train = 0.003
         draws = constant_intensity_draws(spec, lam_train, n_draws=4)
-        resid = validation_residuals(draws, like, partitions, val, k_folds)
+        pairing = ResidualPairing.build(like, partitions)
+        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), k_folds)
         assert resid.shape == (4, n1 + n2)
         for t in (1, 2):
             expect = constant_intensity_oracle(
@@ -199,6 +203,53 @@ class TestValidationResiduals:
             np.testing.assert_allclose(
                 resid[:, cols[t]], expect[None, :].repeat(4, 0), rtol=1e-12, atol=1e-12
             )
+
+
+def assert_same_likelihood(got, want):
+    """Two likelihoods array for array, ``loglik_const`` bit for bit."""
+    assert got.spec == want.spec and got.mesh is want.mesh
+    for a, b in ((got.design, want.design), (got.groups, want.groups)):
+        for name in ("cell_ids", "mesh_index", "x"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.rows == b.rows and a.weight == b.weight
+    for name in ("group_of", "y", "exposure"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert got.loglik_const == want.loglik_const
+
+
+@pytest.mark.parametrize("with_field", [False, True], ids=["glm_3c_tau", "field_1c"])
+def test_fold_recount_is_bin_points_of_the_training_points(
+    stack, campaign_domains, survey, with_field
+):
+    # oracle: binning each fold's training pattern from scratch
+    if with_field:
+        doms = {1: campaign_domains[8]}
+        pts = survey.for_campaign(8)
+        pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+    else:
+        # campaigns on D2, D1 and D, with campaign effects and their tau
+        doms = {1: campaign_domains[1], 2: campaign_domains[6], 3: campaign_domains[8]}
+        pts = survey.take(np.isin(survey.campaign, [1, 6, 8]))
+        pts = PointPattern(pts.x, pts.y, np.searchsorted([1, 6, 8], pts.campaign) + 1)
+    spec = ModelSpec(include_poceanica=True, include_field=with_field, n_campaigns=len(doms))
+    assert ("log_tau" in spec.hyper_names) == (not with_field)
+    k_folds = 3
+    folds = assign_folds(pts, k_folds, np.random.default_rng(4))
+    study = crossval._Study(
+        stack=stack, campaign_domains=doms, points=pts, specs=[spec], folds=folds,
+        n_draws=10, seed=0, partitions=build_partitions(doms, 3, 3),
+    )
+    sent = len(pickle.dumps(study))
+    mesh = study.binned(0)[0].mesh
+    assert (mesh is not None) == with_field
+    for k in range(1, k_folds + 1):
+        train, _ = split(pts, folds, k)
+        want = bin_points(spec, stack, doms, train, mesh=mesh)
+        assert_same_likelihood(study.fold_likelihood(0, k), want)
+    # a spawned worker's task carries the inputs alone, not the cache
+    assert len(pickle.dumps(study)) == sent
+    assert pickle.loads(pickle.dumps(study))._cache == {}
 
 
 def membership_residuals(draws, like, partitions, val, k_folds):
@@ -231,7 +282,10 @@ class TestBlockResiduals:
         train, val = split(pts, folds, 1)
         like = bin_points(spec, stack, doms, train, mesh=mesh)
         draws = random_draws(spec, mesh, n_draws, seed=n_draws)
-        resid = validation_residuals(draws, like, partitions, val, self.K_FOLDS)
+        pairing = ResidualPairing.build(like, partitions)
+        resid = validation_residuals(
+            draws, pairing, subset_columns(partitions, val), self.K_FOLDS
+        )
         expect = membership_residuals(draws, like, partitions, val, self.K_FOLDS)
         assert resid.shape == expect.shape
         np.testing.assert_allclose(resid, expect, rtol=1e-12, atol=1e-12)
@@ -279,7 +333,9 @@ def test_block_scoring_never_holds_an_eta_array(stack, campaign_domains, survey)
     partitions = build_partitions({1: campaign_domains[8]}, 3, 3)
     bound = draws.n_draws * like.design.n_cells * 8 / 4
     for score in (
-        lambda: validation_residuals(draws, like, partitions, val, 5),
+        lambda: validation_residuals(
+            draws, ResidualPairing.build(like, partitions), subset_columns(partitions, val), 5
+        ),
         lambda: inference.compute_dic(like, draws),
     ):
         tracemalloc.start()
@@ -379,6 +435,47 @@ class TestRunStudy:
             for t in one.by_subset[m]:
                 np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
             assert one.dic[m].dic == many.dic[m].dic
+
+    def test_each_model_is_binned_once(self, study_inputs, monkeypatch):
+        # the folds recount their training points on the full data's bins
+        stack, doms, points, specs = study_inputs
+        calls = []
+
+        def counting_bin_points(spec, *args, **kwargs):
+            calls.append(spec.model_id)
+            return bin_points(spec, *args, **kwargs)
+
+        monkeypatch.setattr(crossval, "bin_points", counting_bin_points)
+        run_study(
+            stack, doms, points, specs, n_folds=3, n_draws=20, partition_dims=(3, 3),
+            seed=16, workers=1,
+        )
+        assert sorted(calls) == sorted(s.model_id for s in specs)
+
+    @pytest.mark.skipif(
+        crossval._MP_CONTEXT.get_start_method() != "fork", reason="needs forked workers"
+    )
+    def test_forked_workers_inherit_the_study(self, study_inputs, monkeypatch):
+        # a forked worker reads the study from the memory it inherited, so
+        # no task may pickle it
+        stack, doms, points, specs = study_inputs
+        kwargs = dict(n_folds=2, n_draws=60, partition_dims=(3, 3), seed=17)
+        one = run_study(stack, doms, points, specs, workers=1, **kwargs)
+
+        def refuse(self, protocol):
+            raise AssertionError("a task pickled the study")
+
+        monkeypatch.setattr(crossval._Study, "__reduce_ex__", refuse)
+        two = run_study(stack, doms, points, specs, workers=2, **kwargs)
+        assert one.scores == two.scores  # exact float equality
+        for m in one.model_ids:
+            for t in one.by_subset[m]:
+                np.testing.assert_array_equal(one.by_subset[m][t], two.by_subset[m][t])
+                np.testing.assert_array_equal(
+                    one.mean_residual[m][t], two.mean_residual[m][t]
+                )
+            assert vars(one.dic[m]) == vars(two.dic[m])
+            np.testing.assert_array_equal(one.summaries[m].mean, two.summaries[m].mean)
 
     def test_pool_has_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
         # a forked pool starts all its workers at its first task, so 64 workers

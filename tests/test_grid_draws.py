@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from gridcox.crossval import assign_folds, build_partitions, split, validation_residuals
+from gridcox.crossval import (
+    ResidualPairing,
+    assign_folds,
+    build_partitions,
+    split,
+    subset_columns,
+    validation_residuals,
+)
 from gridcox.geodata import CovariateStack, RasterGrid, habitat_domains
 from gridcox.gmrf import LatticeMesh, MaternHyper
 from gridcox.inference import PosteriorDraws, bin_points, compute_dic, fit
@@ -88,7 +95,8 @@ def test_grid_draws_read_as_the_mesh_draws_they_came_from(small_survey):
             [lam[:, rows][:, subset == g].sum(axis=1) for g in range(part.n_subsets)]
         )
         expect.append(counts - integral / (K_FOLDS - 1))
-    resid = validation_residuals(draws, like, partitions, val, K_FOLDS)
+    pairing = ResidualPairing.build(like, partitions)
+    resid = validation_residuals(draws, pairing, subset_columns(partitions, val), K_FOLDS)
     np.testing.assert_allclose(resid, np.hstack(expect), rtol=1e-12, atol=1e-12)
 
 

@@ -8,7 +8,14 @@ import pytest
 from scipy.stats import poisson
 
 from gridcox import inference
-from gridcox.crossval import assign_folds, build_partitions, split, validation_residuals
+from gridcox.crossval import (
+    ResidualPairing,
+    assign_folds,
+    build_partitions,
+    split,
+    subset_columns,
+    validation_residuals,
+)
 from gridcox.geodata import CovariateStack, PointPattern, RasterGrid, habitat_domains
 from gridcox.gmrf import LatticeMesh, MaternHyper
 from gridcox.inference import bin_points, compute_dic
@@ -153,7 +160,8 @@ class TestGroupedAgainstCells:
     def test_validation_residuals(self, grouped, n_draws):
         like, _, partitions, val = grouped
         draws = random_draws(like.spec, like.mesh, n_draws, seed=n_draws)
-        resid = validation_residuals(draws, like, partitions, val, K_FOLDS)
+        pairing = ResidualPairing.build(like, partitions)
+        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), K_FOLDS)
         expect = membership_residuals(draws, like, partitions, val, K_FOLDS)
         np.testing.assert_allclose(resid, expect, rtol=1e-12, atol=1e-12)
 

@@ -15,8 +15,8 @@ diffing the output compares them. One line per output:
     so a checkout that keeps them mesh-wide and one that keeps them on the
     grid give the same digest when the values agree;
 ``glm_study_64``
-    the ``run_study`` table's ``scores``, ``by_subset``, ``mean_residual``
-    and DIC;
+    the ``run_study`` table's ``scores``, ``by_subset``, ``mean_residual``,
+    DIC, posterior ``summaries`` of the full fits and ``failures``;
 ``cli_crossval_3c``
     every file that ``gridcox simulate`` (in set-up) and ``gridcox
     crossval`` write.
@@ -104,6 +104,8 @@ def glm_study(inp: dict, workers: int) -> dict:
         "by_subset": table.by_subset,
         "mean_residual": table.mean_residual,
         "dic": {m: vars(r) for m, r in table.dic.items()},
+        "summaries": {m: vars(s) for m, s in table.summaries.items()},
+        "failures": table.failures,
     }
 
 
