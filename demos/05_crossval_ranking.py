@@ -5,13 +5,14 @@ effort factor, then scores three nested candidates with thinning-based
 5-fold cross-validation. The pooled CRPS ranking is printed next to the
 in-sample DIC ranking; the two need not agree.
 
-run_study bins each model and pairs it with the partition's subsets once
-per study; each fold recounts its training points on those bins. With one
-worker it fits in this process and needs no guard. With more, on Linux it
-forks worker processes, which inherit the study from this process's memory
-and need no guard either; elsewhere it spawns them, sends the study with
-each task, and spawned workers need the __main__ guard (without it
-run_study raises BrokenProcessPool), so keep the guard if you adapt this
+run_study sets the study up once, in this process, before any fit: it bins
+each model and pairs it with the partition's subsets, and each fold
+recounts its training points on those bins. With one worker it fits in this
+process and needs no guard. With more, on Linux it forks worker processes,
+which inherit the set-up study from this process's memory and need no guard
+either; elsewhere it spawns them, sends the set-up study with each task,
+and spawned workers need the __main__ guard (without it run_study raises
+BrokenProcessPool), so keep the guard if you adapt this
 script.
 """
 

@@ -18,18 +18,18 @@ scores one fold's draws and validation points against that pairing.
 
 The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
 thread, in the caller's process at one worker and in a pool of worker
-processes above one. Each model is binned on all points and paired once per
-study, in the caller or in each forked worker that runs its tasks; a fold
-recounts only its training points on those bins. The caller holds that one
-thread for the whole study, and above one worker keeps it after the study.
-On Linux the workers are forked from it: they inherit the study from its
-memory, so no task carries it, inherit the count of 1, start no OpenBLAS
-threads, and need no ``if __name__ == "__main__":`` guard in the calling
-script. Elsewhere they are spawned and receive the study with each task,
-which bins and pairs its model itself; they re-import the calling script and
-need the guard, and nothing pins OpenBLAS. Fold marks are drawn once per
-study; every task derives its own generator from (seed, model, fold), so
-results are identical for any worker count.
+processes above one. Before any fit, the caller bins each model on all
+points and pairs it with the subsets, once per study; a fold recounts only
+its training points on those bins. The caller holds that one thread for the
+whole study, and above one worker keeps it after the study. On Linux the
+workers are forked from it: they inherit the set-up study from its memory,
+so no task carries it, inherit the count of 1, start no OpenBLAS threads,
+and need no ``if __name__ == "__main__":`` guard in the calling script.
+Elsewhere they are spawned and receive the set-up study with each task;
+they re-import the calling script and need the guard, and nothing pins
+OpenBLAS. Fold marks are drawn once per study; every task derives its own
+generator from (seed, model, fold), so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -338,72 +338,76 @@ def derive_rng(seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Study:
-    """One ``run_study`` call: its inputs, and what its tasks derive from
-    them once.
+    """One ``run_study`` call's fits, set up in the caller before any of them
+    runs (``set_up``).
 
-    Each model's likelihood over all points with each point's design row
-    (``binned``) and its residual pairing (``pairing``), and each point's
-    stacked subset column (``subset_columns``), are built on first use and
-    kept in ``_cache``: in the caller at one worker, in each forked worker of
-    a pool. A fold then only recounts its training points
+    Per model whose set-up succeeded (the keys of ``likes``): its likelihood
+    of all points, each point's design row (``rows``) and its residual
+    pairing (``pairings``); and each point's stacked subset column
+    (``columns``). A fold only recounts its training points
     (``fold_likelihood``) and picks its validation points' columns
-    (``validation_columns``). The cache is per process and left out of the
-    pickle, so a spawned worker's task carries the inputs alone.
+    (``validation_columns``). Forked workers inherit the study, and a spawned
+    worker's task carries it whole.
     """
 
-    stack: CovariateStack
-    campaign_domains: dict[int, DomainMask]
-    points: PointPattern
     specs: list[ModelSpec]
     folds: FoldAssignment
     n_draws: int
     seed: int
-    partitions: dict[int, PartitionScheme]
-    fail_fast: bool = True
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    fail_fast: bool
+    likes: dict[int, GriddedLikelihood]
+    rows: dict[int, np.ndarray]
+    pairings: dict[int, ResidualPairing]
+    columns: np.ndarray | None
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, _cache={})
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def binned(self, model_idx: int) -> tuple[GriddedLikelihood, np.ndarray]:
-        """The model's likelihood of all points, and each point's design row."""
-
-        def build():
-            spec = self.specs[model_idx]
-            mesh = (LatticeMesh.for_grid(self.stack.grid, rho_ref=spec.pc_prior.rho0)
-                    if spec.include_field else None)
-            like = bin_points(spec, self.stack, self.campaign_domains, self.points, mesh=mesh)
-            return like, like.design.rows_of_points(self.stack.grid, self.points)
-
-        return self._cached(("binned", model_idx), build)
+    @classmethod
+    def set_up(
+        cls,
+        stack: CovariateStack,
+        campaign_domains: dict[int, DomainMask],
+        points: PointPattern,
+        specs: list[ModelSpec],
+        folds: FoldAssignment,
+        n_draws: int,
+        seed: int,
+        partitions: dict[int, PartitionScheme],
+        fail_fast: bool = True,
+    ) -> tuple["_Study", dict[str, list[str]]]:
+        """Bin each model on all points and pair it with the subsets. Returns
+        the study and, unless ``fail_fast``, the failures of the models whose
+        set-up raised, as their full fits. The subset columns are found only
+        if a model binned every point: a stray point fails each model, not
+        the study."""
+        likes, rows, pairings, failures = {}, {}, {}, {}
+        for i, spec in enumerate(specs):
+            try:
+                mesh = (LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
+                        if spec.include_field else None)
+                like = bin_points(spec, stack, campaign_domains, points, mesh=mesh)
+                rows_i = like.design.rows_of_points(stack.grid, points)
+                pairing = ResidualPairing.build(like, partitions)
+            except Exception as e:
+                if fail_fast:
+                    raise
+                failures[spec.model_id] = [f"full fit: {type(e).__name__}: {e}"]
+                continue
+            likes[i], rows[i], pairings[i] = like, rows_i, pairing
+        columns = subset_columns(partitions, points) if likes else None
+        study = cls(specs, folds, n_draws, seed, fail_fast, likes, rows, pairings, columns)
+        return study, failures
 
     def fold_likelihood(self, model_idx: int, k: int) -> GriddedLikelihood:
         """The model's likelihood of fold k's training points, the points
         without mark k, recounted on its cells and groups."""
-        like, rows = self.binned(model_idx)
-        train = rows[self.folds.marks != k]
+        like = self.likes[model_idx]
+        train = self.rows[model_idx][self.folds.marks != k]
         return like.with_counts(np.bincount(train, minlength=like.design.n_cells))
-
-    def pairing(self, model_idx: int) -> ResidualPairing:
-        return self._cached(
-            ("pairing", model_idx),
-            lambda: ResidualPairing.build(self.binned(model_idx)[0], self.partitions),
-        )
 
     def validation_columns(self, k: int) -> np.ndarray:
         """The stacked subset columns of fold k's validation points."""
-        cols = self._cached("columns", lambda: subset_columns(self.partitions, self.points))
-        return cols[self.folds.marks == k]
+        return self.columns[self.folds.marks == k]
 
 
 # The study of a forked pool, set before its workers fork: they find it in
@@ -415,8 +419,8 @@ def _full_fit_task(study: _Study | None, model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
     p = _forked_study if study is None else study
     spec = p.specs[model_idx]
+    like = p.likes[model_idx]
     try:
-        like = p.binned(model_idx)[0]
         rng = derive_rng(p.seed, spec.model_id, "full")
         draws = fit(like, n_draws=p.n_draws, rng=rng)
     except Exception as e:
@@ -442,7 +446,7 @@ def _fold_fit_task(study: _Study | None, model_idx: int, k: int, theta_init: np.
         rng = derive_rng(p.seed, spec.model_id, "fold", k)
         draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init)
         resid = validation_residuals(
-            draws, p.pairing(model_idx), p.validation_columns(k), p.folds.n_folds
+            draws, p.pairings[model_idx], p.validation_columns(k), p.folds.n_folds
         )
     except Exception as e:
         if p.fail_fast:
@@ -479,56 +483,47 @@ def run_study(
 ) -> CrpsTable:
     """Cross-validate and rank a set of models on one survey.
 
-    Fold marks are drawn once from (seed, "folds"). Every model is first fit
-    to the full data (DIC, posterior summary, warm start), then once per
-    fold; fold fits are scored by subset residuals and pooled CRPS. Each
-    model is binned on all points and paired with the subsets once per
-    study, in the caller or in each forked worker that runs its fits: a fold
-    recounts only its training points on those bins and scores against that
-    pairing. On Linux every fit runs with one OpenBLAS thread, so the result
-    is byte-identical for any ``workers`` value under a fixed seed. The
-    caller's process holds one thread from the first fit on. At
-    ``workers=1`` it gets its previous counts back on return. Above one it
-    keeps one thread: the pool's fork stops the caller's OpenBLAS threads,
-    and restoring a count would start them again, to busy-wait after this
-    call has returned.
+    Fold marks are drawn once from (seed, "folds"). Before any fit, the
+    caller bins every model on all points and pairs it with the subsets.
+    Every model is then fit to the full data (DIC, posterior summary, warm
+    start), then once per fold: a fold recounts only its training points on
+    its model's bins, and its fit is scored by subset residuals against that
+    pairing and pooled CRPS. On Linux every fit runs with one OpenBLAS
+    thread, so the result is byte-identical for any ``workers`` value under
+    a fixed seed. The caller's process holds one thread from the first fit
+    on. At ``workers=1`` it gets its previous counts back on return. Above
+    one it keeps one thread: the pool's fork stops the caller's OpenBLAS
+    threads, and restoring a count would start them again, to busy-wait
+    after this call has returned.
 
     At ``workers=1`` the fits run in the caller's process. Above one they
     run in a process pool of at most one worker per fold fit
     (``len(specs) * n_folds``): a forked pool starts all its workers at once,
     however few tasks it gets. On Linux its workers are forked from the caller: they
-    start with its imported modules, the study and its count of one thread,
-    so no task carries the study; they start no OpenBLAS threads of their
-    own, and do not re-run its main module, so a script needs no guard.
+    start with its imported modules, the set-up study and its count of one
+    thread, so no task carries the study; they start no OpenBLAS threads of
+    their own, and do not re-run its main module, so a script needs no guard.
     Elsewhere nothing pins OpenBLAS, and the workers are spawned, receive
-    the study with each task (which then bins and pairs its model itself),
-    and re-import the caller's main module: a script must then keep its
-    entry point under an ``if __name__ == "__main__":`` guard, and without
-    one this call raises ``BrokenProcessPool``.
+    the set-up study with each task, and re-import the caller's main module:
+    a script must then keep its entry point under an
+    ``if __name__ == "__main__":`` guard, and without one this call raises
+    ``BrokenProcessPool``.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
-    error is recorded per model and the remaining work continues.
+    error is recorded per model and the remaining work continues. A model
+    whose set-up raises is recorded as a failed full fit.
     """
     ids = [s.model_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids")
     folds = assign_folds(points, n_folds, derive_rng(seed, "folds"))
     partitions = build_partitions(campaign_domains, *partition_dims)
-    study = _Study(
-        stack=stack,
-        campaign_domains=campaign_domains,
-        points=points,
-        specs=specs,
-        folds=folds,
-        n_draws=n_draws,
-        seed=seed,
-        partitions=partitions,
-        fail_fast=fail_fast,
+    study, failures = _Study.set_up(
+        stack, campaign_domains, points, specs, folds, n_draws, seed, partitions, fail_fast
     )
 
     dic: dict[str, DicResult] = {}
     summaries: dict[str, FitSummary] = {}
-    failures: dict[str, list[str]] = {}
     results: dict[tuple[int, int], np.ndarray] = {}
     workers = max(1, min(workers, len(specs) * n_folds))
     if workers > 1:
@@ -548,7 +543,7 @@ def run_study(
             run = pool.map if workers > 1 else map
             theta_init: dict[int, np.ndarray] = {}
             for model_idx, dic_res, summary, theta, err in run(
-                _full_fit_task, sent, range(len(specs))
+                _full_fit_task, sent, list(study.likes)
             ):
                 if err is not None:
                     failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")

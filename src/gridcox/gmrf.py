@@ -9,7 +9,8 @@ G the lattice stiffness matrix (edge weight a = dy/dx across columns, b =
 dx/dy across rows) and J(kappa) the unscaled field's variance on the infinite
 lattice, so that sigma is the exact stationary marginal sd.
 
-Q is a stencil: products with it run on the diagonals of I, G and G @ G.
+Q is a stencil: products with it run on the diagonals of G and G @ G, plus
+the constant kappa^4 m^2 on the main diagonal.
 With node j at (r, c) on R x C nodes, deg_c and deg_r 1 on the mesh edge and
 2 inside, and d = a deg_c + b deg_r, entry (j, j + k) is zero where the step
 k stands for leaves the mesh, and otherwise
@@ -163,8 +164,8 @@ class LatticeMesh:
         return np.unique([0, 1, 2, c - 1, c, c + 1, 2 * c])
 
     @cached_property
-    def templates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(I, G, G @ G) as their diagonals at ``offsets``, in the rows of lower
+    def templates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, G @ G) as their diagonals at ``offsets``, in the rows of lower
         band storage: row i of each holds the diagonal at offset k = offsets[i],
         entry A[j + k, j] in column j < n - k, and zeros in the last k columns."""
         cols, a, b = self.cols, self.dy / self.dx, self.dx / self.dy
@@ -172,8 +173,7 @@ class LatticeMesh:
         deg_c, deg_r = 2.0 - (c == 0) - (c == cols - 1), 2.0 - (r == 0) - (r == self.rows - 1)
         d = a * deg_c + b * deg_r
         right, down = c < cols - 1, r < self.rows - 1  # nodes j + 1, j + C exist
-        eye, g, g2 = np.zeros((3, len(self.offsets), self.n))
-        eye[0] = 1.0
+        g, g2 = np.zeros((2, len(self.offsets), self.n))
         for k, where, g_k, g2_k in (
             (0, True, d, d * d + a * a * deg_c + b * b * deg_r),
             (1, right, -a, -a * (d + np.roll(d, -1))),
@@ -186,7 +186,7 @@ class LatticeMesh:
             i = np.searchsorted(self.offsets, k)  # 2 and C - 1 coincide at C = 3: add
             g[i] += np.where(where, g_k, 0.0)
             g2[i] += np.where(where, g2_k, 0.0)
-        return eye, g, g2
+        return g, g2
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -246,10 +246,14 @@ class SparsePrecision:
 
 def build_precision(mesh: LatticeMesh, hyper: MaternHyper) -> SparsePrecision:
     """Assemble Q(sigma, rho) from the mesh templates."""
-    ib, gb, g2b = mesh.templates
+    gb, g2b = mesh.templates
     kap2m = hyper.kappa**2 * mesh.dx * mesh.dy
     scale = lattice_variance_factor(hyper.kappa, mesh.dx, mesh.dy) / hyper.sigma**2
-    diags = scale * (kap2m**2 * ib + (2.0 * kap2m) * gb + g2b)
+    # scale (kap2m^2 I + 2 kap2m G + G @ G), I only on the main diagonal
+    diags = (2.0 * kap2m) * gb
+    diags[0] += kap2m**2
+    diags += g2b
+    diags *= scale
     # Q = scale (kap2m I + G)^2 shares G's eigenvectors
     logdet = mesh.n * math.log(scale) + 2.0 * float(np.sum(np.log(kap2m + mesh.spectrum)))
     return SparsePrecision(mesh=mesh, diags=diags, logdet=logdet)

@@ -236,20 +236,17 @@ def test_fold_recount_is_bin_points_of_the_training_points(
     assert ("log_tau" in spec.hyper_names) == (not with_field)
     k_folds = 3
     folds = assign_folds(pts, k_folds, np.random.default_rng(4))
-    study = crossval._Study(
-        stack=stack, campaign_domains=doms, points=pts, specs=[spec], folds=folds,
-        n_draws=10, seed=0, partitions=build_partitions(doms, 3, 3),
+    study, failures = crossval._Study.set_up(
+        stack, doms, pts, [spec], folds, n_draws=10, seed=0,
+        partitions=build_partitions(doms, 3, 3),
     )
-    sent = len(pickle.dumps(study))
-    mesh = study.binned(0)[0].mesh
+    assert failures == {}
+    mesh = study.likes[0].mesh
     assert (mesh is not None) == with_field
     for k in range(1, k_folds + 1):
         train, _ = split(pts, folds, k)
         want = bin_points(spec, stack, doms, train, mesh=mesh)
         assert_same_likelihood(study.fold_likelihood(0, k), want)
-    # a spawned worker's task carries the inputs alone, not the cache
-    assert len(pickle.dumps(study)) == sent
-    assert pickle.loads(pickle.dumps(study))._cache == {}
 
 
 def membership_residuals(draws, like, partitions, val, k_folds):
@@ -436,21 +433,44 @@ class TestRunStudy:
                 np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
             assert one.dic[m].dic == many.dic[m].dic
 
-    def test_each_model_is_binned_once(self, study_inputs, monkeypatch):
-        # the folds recount their training points on the full data's bins
+    def test_each_model_is_binned_once(self, study_inputs, monkeypatch, tmp_path):
+        # the caller sets the study up before any fit: the folds recount their
+        # training points on the full data's bins, and no forked worker bins
         stack, doms, points, specs = study_inputs
-        calls = []
+        log = tmp_path / "bin_points.log"
 
         def counting_bin_points(spec, *args, **kwargs):
-            calls.append(spec.model_id)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {spec.model_id}\n")
             return bin_points(spec, *args, **kwargs)
 
         monkeypatch.setattr(crossval, "bin_points", counting_bin_points)
-        run_study(
-            stack, doms, points, specs, n_folds=3, n_draws=20, partition_dims=(3, 3),
-            seed=16, workers=1,
+        forked = crossval._MP_CONTEXT.get_start_method() == "fork"
+        for workers in (1, 2) if forked else (1,):
+            log.write_text("")
+            run_study(
+                stack, doms, points, specs, n_folds=3, n_draws=20, partition_dims=(3, 3),
+                seed=16, workers=workers,
+            )
+            calls = [ln.split() for ln in log.read_text().splitlines()]
+            assert sorted(m for _, m in calls) == sorted(s.model_id for s in specs), workers
+            assert all(int(pid) == os.getpid() for pid, _ in calls), workers
+
+    def test_stray_point_fails_every_model(self, study_inputs):
+        # a point outside the domain fails each model's binning; the study
+        # records that per model rather than failing on the subset columns
+        stack, doms, points, specs = study_inputs
+        stray = PointPattern(
+            np.append(points.x, -5.0), np.append(points.y, -5.0),
+            np.append(points.campaign, 1),
         )
-        assert sorted(calls) == sorted(s.model_id for s in specs)
+        kwargs = dict(n_folds=2, n_draws=20, partition_dims=(3, 3), seed=18, workers=1)
+        table = run_study(stack, doms, stray, specs, fail_fast=False, **kwargs)
+        msg = "full fit: ValueError: campaign 1: 1 points fall outside the campaign domain"
+        assert table.failures == {s.model_id: [msg] for s in specs}
+        assert table.scores == {} and table.dic == {}
+        with pytest.raises(ValueError, match="1 points fall outside the campaign domain"):
+            run_study(stack, doms, stray, specs, fail_fast=True, **kwargs)
 
     @pytest.mark.skipif(
         crossval._MP_CONTEXT.get_start_method() != "fork", reason="needs forked workers"
@@ -645,3 +665,85 @@ def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers, start
         assert proc.returncode != 0
         assert "BrokenProcessPool" in err, err[-2000:]
 
+
+
+# A guarded study script that runs one study in-process and one in a spawn
+# pool. The caller sets the study up; a spawned worker re-imports this module
+# as ``__mp_main__``, so the counting ``bin_points`` is patched in every
+# process, and the log shows who binned.
+SPAWN_SCRIPT = """\
+import multiprocessing
+import os
+import pickle
+import sys
+import numpy as np
+from gridcox import (
+    CovariateStack, ModelSpec, RasterGrid, Scenario, crossval, habitat_domains, run_study,
+    simulate_lgcp,
+)
+
+task_bin_points = crossval.bin_points
+
+
+def counting_bin_points(spec, *args, **kwargs):
+    with open("bin_points.log", "a") as fh:
+        fh.write(f"{os.getpid()} {spec.model_id}\\n")
+    return task_bin_points(spec, *args, **kwargs)
+
+
+crossval.bin_points = counting_bin_points
+
+
+def main():
+    codes = np.ones((64, 64))
+    codes[40:, 40:] = 2.0
+    legend = {1: "Sandy", 2: "P. oceanica"}
+    habitat = RasterGrid(0.0, 0.0, 10.0, 10.0, codes, kind="categorical", legend=legend)
+    stack = CovariateStack(
+        grid=habitat, habitat=habitat, poceanica_label="P. oceanica", reference_class="Sandy"
+    )
+    domains = {1: habitat_domains(habitat, "P. oceanica")[0]}
+    specs = [
+        ModelSpec(covariates=(), include_poceanica=flag, include_field=False, n_campaigns=1,
+                  model_id=name)
+        for name, flag in (("m_poc", True), ("m_null", False))
+    ]
+    scn = Scenario(stack=stack, campaign_domains=domains, spec=specs[0], mu0=-5.5, gamma=-0.4)
+    points = simulate_lgcp(scn, np.random.default_rng(0)).points
+    kwargs = dict(n_folds=2, n_draws=40, partition_dims=(3, 3), seed=5)
+    one = run_study(stack, domains, points, specs, workers=1, **kwargs)
+    crossval._MP_CONTEXT = multiprocessing.get_context("spawn")
+    two = run_study(stack, domains, points, specs, workers=2, **kwargs)
+    with open("tables.pkl", "wb") as fh:
+        pickle.dump({"pid": os.getpid(), "one": one, "two": two}, fh)
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def test_spawned_workers_score_as_one_worker(tmp_path):
+    # Spawned workers receive the caller's set-up study with each task: they
+    # bin nothing, and their results equal the in-process study's exactly.
+    script = tmp_path / "study.py"
+    script.write_text(SPAWN_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(tmp_path / "tables.pkl", "rb") as fh:
+        out = pickle.load(fh)
+    one, two = out["one"], out["two"]
+    calls = [ln.split() for ln in (tmp_path / "bin_points.log").read_text().splitlines()]
+    # two studies, each binning both models in the caller
+    assert sorted(m for _, m in calls) == ["m_null", "m_null", "m_poc", "m_poc"]
+    assert all(int(pid) == out["pid"] for pid, _ in calls)
+    assert one.failures == {} and two.failures == {}
+    assert one.scores == two.scores  # exact float equality
+    for m in one.model_ids:
+        for t in one.by_subset[m]:
+            np.testing.assert_array_equal(one.by_subset[m][t], two.by_subset[m][t])
+        assert vars(one.dic[m]) == vars(two.dic[m])
