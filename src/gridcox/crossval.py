@@ -7,10 +7,10 @@ process) and validates on the marked ones (intensity 1/K). Raw residuals are
 computed per bounded subset of each campaign's domain: the observed validation
 count minus 1/(K-1) times the integrated posterior training intensity. The
 subsets of all campaigns are stacked into G columns, campaign by campaign
-(``subset_slices``), so over posterior draws and folds a model's residuals
-are one A x K x G array. The CRPS of each fold's residual ensemble against 0
-is averaged over folds (one score per subset), then pooled into a single
-score per model. Lower is better.
+(``subset_slices``), so over posterior draws a fold's residuals are one
+A x G array. The CRPS of each fold's residual ensemble against 0 is averaged
+over folds (one score per subset), then pooled into a single score per
+model. Lower is better.
 
 Residuals are computed in two steps: ``ResidualPairing.build`` reduces a
 model's cells to (subset, group) pairs once, and ``validation_residuals``
@@ -20,7 +20,10 @@ The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
 thread, in the caller's process at one worker and in a pool of worker
 processes above one. Before any fit, the caller bins each model on all
 points and pairs it with the subsets, once per study; a fold recounts only
-its training points on those bins. The caller holds that one thread for the
+its training points on those bins. A fold's task scores its own residuals
+and returns two (G,) arrays, each subset's CRPS and mean residual, and the
+caller averages them over folds. A model's fold fits start as soon as its
+full fit returns. The caller holds that one thread for the
 whole study, and above one worker keeps it after the study. On Linux the
 workers are forked from it: they inherit the set-up study from its memory,
 so no task carries it, inherit the count of 1, start no OpenBLAS threads,
@@ -36,9 +39,8 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import repeat
 from multiprocessing import get_context
 
 import numpy as np
@@ -279,10 +281,15 @@ def aggregate_crps(resid: np.ndarray) -> tuple[np.ndarray, float]:
     ensemble against 0 (``crps_empirical``'s sort route, applied along the
     draw axis of every ensemble at once). Pooling is an unweighted mean over
     all G subsets.
+
+    The rank-weighted sums are one matrix-vector product per fold, so a
+    fold's scores are the same to the bit whether it is scored alone, as
+    (A, 1, G), or with the others; one product over all K x G columns rounds
+    a column by its position among them.
     """
     a = resid.shape[0]
     rank_coef = 2.0 * np.arange(a) - a + 1.0
-    gini = np.tensordot(rank_coef, np.sort(resid, axis=0), axes=(0, 0)) / (a * a)
+    gini = np.matmul(np.moveaxis(np.sort(resid, axis=0), 0, -1), rank_coef) / (a * a)
     by_subset = (np.abs(resid).mean(axis=0) - gini).mean(axis=0)
     return by_subset, float(by_subset.mean())
 
@@ -385,8 +392,9 @@ class _Study:
             try:
                 mesh = (LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
                         if spec.include_field else None)
-                like = bin_points(spec, stack, campaign_domains, points, mesh=mesh)
-                rows_i = like.design.rows_of_points(stack.grid, points)
+                like, rows_i = bin_points(
+                    spec, stack, campaign_domains, points, mesh=mesh, return_rows=True
+                )
                 pairing = ResidualPairing.build(like, partitions)
             except Exception as e:
                 if fail_fast:
@@ -436,9 +444,19 @@ def _full_fit_task(study: _Study | None, model_idx: int):
     )
 
 
+def _run_now(fn, *args) -> Future:
+    """Run a study task in the caller and return it as a finished future:
+    ``run_study``'s ``submit`` at one worker."""
+    fut = Future()
+    fut.set_result(fn(*args))
+    return fut
+
+
 def _fold_fit_task(study: _Study | None, model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
-    mode ``theta_init``, and score its validation residuals."""
+    mode ``theta_init``, and score its validation residuals: the CRPS and
+    the mean of each subset's (A,) ensemble, two (G,) arrays, so that the
+    result grows with the subsets and not with the draws."""
     p = _forked_study if study is None else study
     spec = p.specs[model_idx]
     try:
@@ -448,11 +466,12 @@ def _fold_fit_task(study: _Study | None, model_idx: int, k: int, theta_init: np.
         resid = validation_residuals(
             draws, p.pairings[model_idx], p.validation_columns(k), p.folds.n_folds
         )
+        crps_g, _ = aggregate_crps(resid[:, None, :])
     except Exception as e:
         if p.fail_fast:
             raise
-        return model_idx, k, None, f"{type(e).__name__}: {e}"
-    return model_idx, k, resid, None
+        return model_idx, k, None, None, f"{type(e).__name__}: {e}"
+    return model_idx, k, crps_g, resid.mean(axis=0), None
 
 
 def build_partitions(
@@ -485,18 +504,22 @@ def run_study(
 
     Fold marks are drawn once from (seed, "folds"). Before any fit, the
     caller bins every model on all points and pairs it with the subsets.
-    Every model is then fit to the full data (DIC, posterior summary, warm
-    start), then once per fold: a fold recounts only its training points on
-    its model's bins, and its fit is scored by subset residuals against that
-    pairing and pooled CRPS. On Linux every fit runs with one OpenBLAS
-    thread, so the result is byte-identical for any ``workers`` value under
-    a fixed seed. The caller's process holds one thread from the first fit
-    on. At ``workers=1`` it gets its previous counts back on return. Above
-    one it keeps one thread: the pool's fork stops the caller's OpenBLAS
-    threads, and restoring a count would start them again, to busy-wait
-    after this call has returned.
+    Every model is fit to the full data (DIC, posterior summary, warm start)
+    and, as soon as that fit returns, once per fold: a fold recounts only
+    its training points on its model's bins, and its task scores the fit's
+    subset residuals against that pairing, returning each subset's CRPS and
+    mean residual. The caller averages those over folds and pools the CRPS
+    as ``aggregate_crps`` does. Results are gathered by (model, fold), so no
+    output depends on the order in which tasks finish. On Linux every fit
+    runs with one OpenBLAS thread, so the result is byte-identical for any
+    ``workers`` value under a fixed seed. The caller's process holds one
+    thread from the first fit on. At ``workers=1`` it gets its previous
+    counts back on return. Above one it keeps one thread: the pool's fork
+    stops the caller's OpenBLAS threads, and restoring a count would start
+    them again, to busy-wait after this call has returned.
 
-    At ``workers=1`` the fits run in the caller's process. Above one they
+    At ``workers=1`` the fits run in the caller's process, each as it is
+    submitted (``_run_now``), through the same loop as a pool. Above one they
     run in a process pool of at most one worker per fold fit
     (``len(specs) * n_folds``): a forked pool starts all its workers at once,
     however few tasks it gets. On Linux its workers are forked from the caller: they
@@ -522,9 +545,6 @@ def run_study(
         stack, campaign_domains, points, specs, folds, n_draws, seed, partitions, fail_fast
     )
 
-    dic: dict[str, DicResult] = {}
-    summaries: dict[str, FitSummary] = {}
-    results: dict[tuple[int, int], np.ndarray] = {}
     workers = max(1, min(workers, len(specs) * n_folds))
     if workers > 1:
         # kept after the study: forked workers inherit the count of 1, and
@@ -537,49 +557,53 @@ def run_study(
     forked = workers > 1 and _MP_CONTEXT.get_start_method() == "fork"
     global _forked_study
     _forked_study = study if forked else None
-    sent = repeat(None if forked else study)
+    sent = None if forked else study
+    # each task's result by (model, fold), fold 0 being the full fit
+    results: dict[tuple[int, int], tuple] = {}
     try:
         with context as pool:
-            run = pool.map if workers > 1 else map
-            theta_init: dict[int, np.ndarray] = {}
-            for model_idx, dic_res, summary, theta, err in run(
-                _full_fit_task, sent, list(study.likes)
-            ):
-                if err is not None:
-                    failures.setdefault(ids[model_idx], []).append(f"full fit: {err}")
-                    continue
-                dic[ids[model_idx]] = dic_res
-                summaries[ids[model_idx]] = summary
-                theta_init[model_idx] = theta
-
-            # fold fits warm-start from their model's full-fit hyper mode
-            tasks = [(i, k) for i in theta_init for k in range(1, n_folds + 1)]
-            for model_idx, k, resid, err in run(
-                _fold_fit_task,
-                sent,
-                [i for i, _ in tasks],
-                [k for _, k in tasks],
-                [theta_init[i] for i, _ in tasks],
-            ):
-                if err is not None:
-                    failures.setdefault(ids[model_idx], []).append(f"fold {k}: {err}")
-                else:
-                    results[(model_idx, k)] = resid
+            submit = pool.submit if workers > 1 else _run_now
+            tasks = {submit(_full_fit_task, sent, i): (i, 0) for i in study.likes}
+            try:
+                while tasks:
+                    done, _ = wait(tasks, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        i, k = tasks.pop(fut)
+                        results[(i, k)] = out = fut.result()
+                        if k == 0 and out[-1] is None:
+                            # fold fits warm-start from their model's full-fit hyper mode
+                            for j in range(1, n_folds + 1):
+                                tasks[submit(_fold_fit_task, sent, i, j, out[3])] = (i, j)
+            finally:
+                for fut in tasks:  # left by a task that raised
+                    fut.cancel()
     finally:
         _forked_study = None
 
+    # gathered in model and fold order, whatever order the tasks finished in
     cols = subset_slices(partitions)
+    dic: dict[str, DicResult] = {}
+    summaries: dict[str, FitSummary] = {}
     scores: dict[str, float] = {}
     by_subset: dict[str, dict[int, np.ndarray]] = {}
     mean_residual: dict[str, dict[int, np.ndarray]] = {}
-    for i, spec in enumerate(specs):
-        if spec.model_id in failures:
+    for i in study.likes:
+        m = ids[i]
+        _, dic_res, summary, _, err = results[(i, 0)]
+        if err is not None:
+            failures[m] = [f"full fit: {err}"]
             continue
-        resid = np.stack([results[(i, k)] for k in range(1, n_folds + 1)], axis=1)
-        crps_g, scores[spec.model_id] = aggregate_crps(resid)
-        mean_g = resid.mean(axis=(0, 1))
-        by_subset[spec.model_id] = {t: crps_g[c] for t, c in cols.items()}
-        mean_residual[spec.model_id] = {t: mean_g[c] for t, c in cols.items()}
+        dic[m], summaries[m] = dic_res, summary
+        _, ks, crps_k, mean_k, errs = zip(*(results[(i, k)] for k in range(1, n_folds + 1)))
+        if any(errs):
+            failures[m] = [f"fold {k}: {e}" for k, e in zip(ks, errs) if e is not None]
+            continue
+        # the fold average and pooling of ``aggregate_crps``
+        crps_g = np.stack(crps_k).mean(axis=0)
+        mean_g = np.stack(mean_k).mean(axis=0)
+        scores[m] = float(crps_g.mean())
+        by_subset[m] = {t: crps_g[c] for t, c in cols.items()}
+        mean_residual[m] = {t: mean_g[c] for t, c in cols.items()}
     return CrpsTable(
         model_ids=ids,
         scores=scores,

@@ -254,17 +254,21 @@ def bin_points(
     campaign_domains: dict[int, DomainMask],
     points: PointPattern,
     mesh: LatticeMesh | None = None,
-) -> GriddedLikelihood:
+    return_rows: bool = False,
+) -> GriddedLikelihood | tuple[GriddedLikelihood, np.ndarray]:
     """Reduce a point pattern to cell counts on the stacked cell design, and
     group the cells by design row and mesh node (``GriddedLikelihood``).
 
     Every point must fall in a cell of its campaign's domain
     (``CellDesign.rows_of_points``): a stray point is a hard error rather than
-    silently dropped.
+    silently dropped. With ``return_rows`` it returns (likelihood, design row
+    of each point), the rows it counted.
     """
     design = build_design(spec, stack, campaign_domains, mesh)
-    y = np.bincount(design.rows_of_points(stack.grid, points), minlength=design.n_cells)
-    return GriddedLikelihood.from_cells(spec, mesh if spec.include_field else None, design, y)
+    rows = design.rows_of_points(stack.grid, points)
+    y = np.bincount(rows, minlength=design.n_cells)
+    like = GriddedLikelihood.from_cells(spec, mesh if spec.include_field else None, design, y)
+    return (like, rows) if return_rows else like
 
 
 # ---------------------------------------------------------------------------

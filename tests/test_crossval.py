@@ -499,7 +499,8 @@ class TestRunStudy:
 
     def test_pool_has_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
         # a forked pool starts all its workers at its first task, so 64 workers
-        # for 2 fold fits would fork 62 idle processes; this pool maps in-process
+        # for 2 fold fits would fork 62 idle processes; this pool runs each
+        # task in-process as it is submitted
         stack, doms, points, specs = study_inputs
         sizes = []
 
@@ -513,7 +514,7 @@ class TestRunStudy:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            submit = staticmethod(crossval._run_now)
 
         monkeypatch.setattr(crossval, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(crossval, "_set_one_blas_thread", lambda: [])
@@ -523,6 +524,98 @@ class TestRunStudy:
         )
         assert sizes == [2]
         assert set(table.scores) == {"m_depth"}
+
+    def test_fold_scores_match_aggregate_crps_of_the_residuals(self, study_inputs, monkeypatch):
+        # oracle: each fold's (A, G) residuals, recorded as its task makes
+        # them and stacked to the (A, K, G) array that aggregate_crps scores
+        stack, doms, points, specs = study_inputs
+        n_folds = 3
+        recorded, current = {}, []
+        task = crossval._fold_fit_task
+        residuals = crossval.validation_residuals
+
+        def keyed_task(study, model_idx, k, theta_init):
+            current[:] = [(model_idx, k)]
+            return task(study, model_idx, k, theta_init)
+
+        def recording_residuals(*args):
+            recorded[current[0]] = out = residuals(*args)
+            return out
+
+        monkeypatch.setattr(crossval, "_fold_fit_task", keyed_task)
+        monkeypatch.setattr(crossval, "validation_residuals", recording_residuals)
+        table = run_study(
+            stack, doms, points, specs, n_folds=n_folds, n_draws=100, partition_dims=(3, 3),
+            seed=19, workers=1,
+        )
+        assert len(recorded) == len(specs) * n_folds
+        for i, spec in enumerate(specs):
+            m = spec.model_id
+            resid = np.stack([recorded[(i, k)] for k in range(1, n_folds + 1)], axis=1)
+            crps_g, score = aggregate_crps(resid)
+            np.testing.assert_array_equal(table.by_subset[m][1], crps_g)
+            assert table.scores[m] == score  # exact float equality
+            # a mean of per-fold means: equal up to summation order
+            np.testing.assert_allclose(
+                table.mean_residual[m][1], resid.mean(axis=(0, 1)), rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.skipif(
+        crossval._MP_CONTEXT.get_start_method() != "fork", reason="needs forked workers"
+    )
+    def test_failed_folds_are_recorded_alike_at_any_worker_count(self, study_inputs, monkeypatch):
+        # tasks finish in no fixed order at two workers; the table must not
+        # show it. Folds 3 and 1 of m_null raise, in the task's own process.
+        stack, doms, points, specs = study_inputs
+        task_rng = crossval.derive_rng
+
+        def failing_rng(seed, *parts):
+            if parts in (("m_null", "fold", 3), ("m_null", "fold", 1)):
+                raise FloatingPointError(f"fold {parts[-1]} forced to fail")
+            return task_rng(seed, *parts)
+
+        monkeypatch.setattr(crossval, "derive_rng", failing_rng)
+        kwargs = dict(n_folds=3, n_draws=40, partition_dims=(3, 3), seed=20, fail_fast=False)
+        one = run_study(stack, doms, points, specs, workers=1, **kwargs)
+        two = run_study(stack, doms, points, specs, workers=2, **kwargs)
+        expect = {"m_null": [
+            "fold 1: FloatingPointError: fold 1 forced to fail",
+            "fold 3: FloatingPointError: fold 3 forced to fail",
+        ]}
+        for table in (one, two):
+            assert table.failures == expect
+            assert set(table.scores) == {"m_depth"}
+            assert set(table.dic) == {"m_depth", "m_null"}  # the full fits held
+        assert one.scores == two.scores  # exact float equality
+        np.testing.assert_array_equal(one.by_subset["m_depth"][1], two.by_subset["m_depth"][1])
+        assert one.by_subset.keys() == two.by_subset.keys()
+
+    def test_fold_task_result_grows_with_subsets_not_draws(self, stack, campaign_domains, survey):
+        # a fold task returns each subset's CRPS and mean residual: at
+        # A = 500 and G = 64 its result pickles to well under the 256 KB of
+        # the (A, G) residuals it scores, and fewer draws leave it unchanged
+        spec = ModelSpec(
+            covariates=(), include_poceanica=False, include_field=False, n_campaigns=1,
+            model_id="m_null",
+        )
+        doms = {1: campaign_domains[8]}
+        pts = survey.for_campaign(8)
+        pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+        partitions = build_partitions(doms, 8, 8)
+        sizes = {}
+        for n_draws in (50, 500):
+            folds = assign_folds(pts, 2, np.random.default_rng(4))
+            study, failures = crossval._Study.set_up(
+                stack, doms, pts, [spec], folds, n_draws, 21, partitions
+            )
+            assert failures == {}
+            theta = crossval._full_fit_task(study, 0)[3]
+            out = crossval._fold_fit_task(study, 0, 1, theta)
+            assert out[-1] is None
+            assert out[2].shape == out[3].shape == (64,)
+            sizes[n_draws] = len(pickle.dumps(out))
+        assert sizes[500] == sizes[50]
+        assert sizes[500] < 4096
 
     @pytest.mark.skipif(
         crossval._MP_CONTEXT.get_start_method() != "fork" or not Path("/proc/self/task").is_dir(),
