@@ -7,13 +7,10 @@ in-sample DIC ranking; the two need not agree.
 
 run_study sets the study up once, in this process, before any fit: it bins
 each model and pairs it with the partition's subsets, and each fold
-recounts its training points on those bins. With one worker it fits in this
-process and needs no guard. With more, on Linux it forks worker processes,
-which inherit the set-up study from this process's memory and need no guard
-either; elsewhere it spawns them, sends the set-up study with each task,
-and spawned workers need the __main__ guard (without it run_study raises
-BrokenProcessPool), so keep the guard if you adapt this
-script.
+recounts its training points on those bins. With more than one worker, on
+Linux it forks worker processes, which inherit the set-up study from this
+process's memory; elsewhere, and with one worker, it fits in this process.
+The table is the same either way.
 """
 
 import numpy as np

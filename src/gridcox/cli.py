@@ -67,7 +67,7 @@ from .geodata import (
     write_points,
     write_raster,
 )
-from .gmrf import LatticeMesh, MaternHyper, PcPriorSpec
+from .gmrf import MaternHyper, PcPriorSpec
 from .inference import FitError, bin_points, compute_dic, fit, summarize
 from .model import ModelSpec
 from .simulate import Scenario, simulate_lgcp
@@ -417,10 +417,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     spec = _spec_by_id(specs, cfg.fit_model, "[fit] model")
     points = read_points(cfg.require_points())
 
-    mesh = None
-    if spec.include_field:
-        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
-    like = bin_points(spec, stack, domains, points, mesh=mesh)
+    like = bin_points(spec, stack, domains, points)
     try:
         post = fit(like, n_draws=cfg.fit_draws, rng=derive_rng(cfg.seed, spec.model_id, "full"))
     except FitError as e:

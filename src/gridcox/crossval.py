@@ -17,20 +17,17 @@ model's cells to (subset, group) pairs once, and ``validation_residuals``
 scores one fold's draws and validation points against that pairing.
 
 The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
-thread, in the caller's process at one worker and in a pool of worker
-processes above one. Before any fit, the caller bins each model on all
-points and pairs it with the subsets, once per study; a fold recounts only
-its training points on those bins. A fold's task scores its own residuals
-and returns two (G,) arrays, each subset's CRPS and mean residual, and the
-caller averages them over folds. A model's fold fits start as soon as its
-full fit returns. The caller holds that one thread for the
-whole study, and above one worker keeps it after the study. On Linux the
-workers are forked from it: they inherit the set-up study from its memory,
-so no task carries it, inherit the count of 1, start no OpenBLAS threads,
-and need no ``if __name__ == "__main__":`` guard in the calling script.
-Elsewhere they are spawned and receive the set-up study with each task;
-they re-import the calling script and need the guard, and nothing pins
-OpenBLAS. Fold marks are drawn once per study; every task derives its own
+thread. Before any fit, the caller bins each model on all points and pairs
+it with the subsets, once per study; a fold recounts only its training
+points on those bins. A fold's task scores its own residuals and returns
+two (G,) arrays, each subset's CRPS and mean residual, and the caller
+averages them over folds. A model's fold fits start as soon as its full fit
+returns. Every task reads the study from this module, where the runner sets
+it for the length of the call. On Linux, above one worker, the tasks run in
+a pool forked from the caller: the workers inherit the study and the count
+of one thread from its memory, start no OpenBLAS threads and do not re-run
+the calling script. Everywhere else, and at one worker, every task runs in
+the caller. Fold marks are drawn once per study; every task derives its own
 generator from (seed, model, fold), so results are identical for any
 worker count.
 """
@@ -46,7 +43,6 @@ from multiprocessing import get_context
 import numpy as np
 
 from .geodata import CovariateStack, DomainMask, PartitionScheme, PointPattern, build_partition
-from .gmrf import LatticeMesh
 from .inference import (
     DicResult,
     FitSummary,
@@ -333,9 +329,11 @@ class CrpsTable:
 # ---------------------------------------------------------------------------
 
 
-# Start method of the study pool. Forked workers inherit the caller's imported
-# modules and do not re-run its __main__; spawn is the portable fallback.
-_MP_CONTEXT = get_context("fork" if sys.platform == "linux" else "spawn")
+# Whether a study forks its pool above one worker. Forked workers inherit the
+# caller's modules and study and do not re-run its __main__. Off Linux fork is
+# missing or unsafe with the system's libraries, so every task runs in the
+# caller, with the same result.
+_FORK = sys.platform == "linux"
 
 
 def derive_rng(seed: int, *parts) -> np.random.Generator:
@@ -355,8 +353,8 @@ class _Study:
     pairing (``pairings``); and each point's stacked subset column
     (``columns``). A fold only recounts its training points
     (``fold_likelihood``) and picks its validation points' columns
-    (``validation_columns``). Forked workers inherit the study, and a spawned
-    worker's task carries it whole.
+    (``validation_columns``). ``run_study`` sets it as this module's
+    ``_study`` for the length of its call, where every task reads it.
     """
 
     specs: list[ModelSpec]
@@ -390,11 +388,7 @@ class _Study:
         likes, rows, pairings, failures = {}, {}, {}, {}
         for i, spec in enumerate(specs):
             try:
-                mesh = (LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
-                        if spec.include_field else None)
-                like, rows_i = bin_points(
-                    spec, stack, campaign_domains, points, mesh=mesh, return_rows=True
-                )
+                like, rows_i = bin_points(spec, stack, campaign_domains, points, return_rows=True)
                 pairing = ResidualPairing.build(like, partitions)
             except Exception as e:
                 if fail_fast:
@@ -418,14 +412,15 @@ class _Study:
         return self.columns[self.folds.marks == k]
 
 
-# The study of a forked pool, set before its workers fork: they find it in
-# the memory they inherit, and their tasks receive None in its place.
-_forked_study: _Study | None = None
+# The study of the running ``run_study`` call, set before a pool forks: the
+# tasks read it here, in the caller or in the memory a worker inherited, so
+# no task carries it.
+_study: _Study | None = None
 
 
-def _full_fit_task(study: _Study | None, model_idx: int):
+def _full_fit_task(model_idx: int):
     """Full-data fit: DIC, summary and the hyper mode for warm starts."""
-    p = _forked_study if study is None else study
+    p = _study
     spec = p.specs[model_idx]
     like = p.likes[model_idx]
     try:
@@ -452,12 +447,12 @@ def _run_now(fn, *args) -> Future:
     return fut
 
 
-def _fold_fit_task(study: _Study | None, model_idx: int, k: int, theta_init: np.ndarray):
+def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals: the CRPS and
     the mean of each subset's (A,) ensemble, two (G,) arrays, so that the
     result grows with the subsets and not with the draws."""
-    p = _forked_study if study is None else study
+    p = _study
     spec = p.specs[model_idx]
     try:
         like = p.fold_likelihood(model_idx, k)
@@ -511,26 +506,21 @@ def run_study(
     mean residual. The caller averages those over folds and pools the CRPS
     as ``aggregate_crps`` does. Results are gathered by (model, fold), so no
     output depends on the order in which tasks finish. On Linux every fit
-    runs with one OpenBLAS thread, so the result is byte-identical for any
-    ``workers`` value under a fixed seed. The caller's process holds one
-    thread from the first fit on. At ``workers=1`` it gets its previous
-    counts back on return. Above one it keeps one thread: the pool's fork
+    runs with one OpenBLAS thread. The caller's process holds one thread from
+    the first fit on. When the fits run in the caller it gets its previous
+    counts back on return. After a forked pool it keeps one thread: the fork
     stops the caller's OpenBLAS threads, and restoring a count would start
     them again, to busy-wait after this call has returned.
 
-    At ``workers=1`` the fits run in the caller's process, each as it is
-    submitted (``_run_now``), through the same loop as a pool. Above one they
-    run in a process pool of at most one worker per fold fit
-    (``len(specs) * n_folds``): a forked pool starts all its workers at once,
-    however few tasks it gets. On Linux its workers are forked from the caller: they
-    start with its imported modules, the set-up study and its count of one
-    thread, so no task carries the study; they start no OpenBLAS threads of
-    their own, and do not re-run its main module, so a script needs no guard.
-    Elsewhere nothing pins OpenBLAS, and the workers are spawned, receive
-    the set-up study with each task, and re-import the caller's main module:
-    a script must then keep its entry point under an
-    ``if __name__ == "__main__":`` guard, and without one this call raises
-    ``BrokenProcessPool``.
+    On Linux, above one worker, the fits run in a pool forked from the
+    caller, of at most one worker per fold fit of the models that set up: a
+    forked pool starts all its workers at once, however few tasks it gets.
+    The workers start with the caller's imported modules, the set-up study
+    and its count of one thread; they start no OpenBLAS threads of their
+    own, and do not re-run the calling script. Everywhere else, and at one
+    worker, every fit runs in the caller as it is submitted (``_run_now``),
+    through the same loop as a pool. Either way the result is byte-identical
+    for any ``workers`` value under a fixed seed.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues. A model
@@ -545,25 +535,22 @@ def run_study(
         stack, campaign_domains, points, specs, folds, n_draws, seed, partitions, fail_fast
     )
 
-    workers = max(1, min(workers, len(specs) * n_folds))
+    workers = max(1, min(workers, len(study.likes) * n_folds)) if _FORK else 1
     if workers > 1:
         # kept after the study: forked workers inherit the count of 1, and
         # the caller's OpenBLAS threads, stopped by the fork, stay stopped
         _set_one_blas_thread()
-        context = ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT)
+        context = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     else:
         context = _one_blas_thread()  # in-process fits; restored after them
-    # forked workers inherit the study; spawned ones receive it with each task
-    forked = workers > 1 and _MP_CONTEXT.get_start_method() == "fork"
-    global _forked_study
-    _forked_study = study if forked else None
-    sent = None if forked else study
+    global _study
+    _study = study
     # each task's result by (model, fold), fold 0 being the full fit
     results: dict[tuple[int, int], tuple] = {}
     try:
         with context as pool:
             submit = pool.submit if workers > 1 else _run_now
-            tasks = {submit(_full_fit_task, sent, i): (i, 0) for i in study.likes}
+            tasks = {submit(_full_fit_task, i): (i, 0) for i in study.likes}
             try:
                 while tasks:
                     done, _ = wait(tasks, return_when=FIRST_COMPLETED)
@@ -573,12 +560,12 @@ def run_study(
                         if k == 0 and out[-1] is None:
                             # fold fits warm-start from their model's full-fit hyper mode
                             for j in range(1, n_folds + 1):
-                                tasks[submit(_fold_fit_task, sent, i, j, out[3])] = (i, j)
+                                tasks[submit(_fold_fit_task, i, j, out[3])] = (i, j)
             finally:
                 for fut in tasks:  # left by a task that raised
                     fut.cancel()
     finally:
-        _forked_study = None
+        _study = None
 
     # gathered in model and fold order, whatever order the tasks finished in
     cols = subset_slices(partitions)

@@ -261,9 +261,13 @@ def bin_points(
 
     Every point must fall in a cell of its campaign's domain
     (``CellDesign.rows_of_points``): a stray point is a hard error rather than
-    silently dropped. With ``return_rows`` it returns (likelihood, design row
-    of each point), the rows it counted.
+    silently dropped. A field model without a ``mesh`` gets the grid's
+    lattice at its prior's reference range (``LatticeMesh.for_grid``). With
+    ``return_rows`` it returns (likelihood, design row of each point), the
+    rows it counted.
     """
+    if mesh is None and spec.include_field:
+        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=spec.pc_prior.rho0)
     design = build_design(spec, stack, campaign_domains, mesh)
     rows = design.rows_of_points(stack.grid, points)
     y = np.bincount(rows, minlength=design.n_cells)

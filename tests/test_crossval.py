@@ -390,6 +390,25 @@ def study_inputs(stack, campaign_domains):
     return stack, {1: d}, survey.points, [true_spec, null_spec]
 
 
+def assert_same_table(one, two):
+    """Two study tables hold the same scores, subset tables, DIC and
+    summaries, to the bit."""
+    assert one.model_ids == two.model_ids
+    assert one.scores == two.scores  # exact float equality
+    assert one.failures == two.failures
+    for m in one.scores:
+        for t in one.by_subset[m]:
+            np.testing.assert_array_equal(one.by_subset[m][t], two.by_subset[m][t])
+            np.testing.assert_array_equal(one.mean_residual[m][t], two.mean_residual[m][t])
+    assert one.dic.keys() == two.dic.keys()
+    for m in one.dic:
+        assert vars(one.dic[m]) == vars(two.dic[m])
+        for name in ("mean", "sd", "q05", "q50", "q95"):
+            np.testing.assert_array_equal(
+                getattr(one.summaries[m], name), getattr(two.summaries[m], name)
+            )
+
+
 class TestRunStudy:
     def test_study_scores_and_ranking(self, study_inputs):
         stack, doms, points, specs = study_inputs
@@ -417,21 +436,23 @@ class TestRunStudy:
         assert set(table.scores) == {"m_null"}
 
     def test_worker_count_does_not_change_results(self, study_inputs, monkeypatch):
+        # four workers run in a forked pool, or in the caller where fork is
+        # unavailable; neither may change a byte of the table
         stack, doms, points, specs = study_inputs
         kwargs = dict(n_folds=2, n_draws=60, partition_dims=(3, 3), seed=12)
         with monkeypatch.context() as m:
 
             def no_pool(*args, **kwargs):
-                raise AssertionError("one worker must not start a process pool")
+                raise AssertionError("a study run in the caller must not start a process pool")
 
             m.setattr(crossval, "ProcessPoolExecutor", no_pool)
             one = run_study(stack, doms, points, specs, workers=1, **kwargs)
-        many = run_study(stack, doms, points, specs, workers=4, **kwargs)
-        assert one.scores == many.scores  # exact float equality
-        for m in one.model_ids:
-            for t in one.by_subset[m]:
-                np.testing.assert_array_equal(one.by_subset[m][t], many.by_subset[m][t])
-            assert one.dic[m].dic == many.dic[m].dic
+            m.setattr(crossval, "_FORK", False)
+            many = [run_study(stack, doms, points, specs, workers=4, **kwargs)]
+        if crossval._FORK:
+            many.append(run_study(stack, doms, points, specs, workers=4, **kwargs))
+        for table in many:
+            assert_same_table(one, table)
 
     def test_each_model_is_binned_once(self, study_inputs, monkeypatch, tmp_path):
         # the caller sets the study up before any fit: the folds recount their
@@ -445,8 +466,7 @@ class TestRunStudy:
             return bin_points(spec, *args, **kwargs)
 
         monkeypatch.setattr(crossval, "bin_points", counting_bin_points)
-        forked = crossval._MP_CONTEXT.get_start_method() == "fork"
-        for workers in (1, 2) if forked else (1,):
+        for workers in (1, 2) if crossval._FORK else (1,):
             log.write_text("")
             run_study(
                 stack, doms, points, specs, n_folds=3, n_draws=20, partition_dims=(3, 3),
@@ -472,9 +492,7 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="1 points fall outside the campaign domain"):
             run_study(stack, doms, stray, specs, fail_fast=True, **kwargs)
 
-    @pytest.mark.skipif(
-        crossval._MP_CONTEXT.get_start_method() != "fork", reason="needs forked workers"
-    )
+    @pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
     def test_forked_workers_inherit_the_study(self, study_inputs, monkeypatch):
         # a forked worker reads the study from the memory it inherited, so
         # no task may pickle it
@@ -487,21 +505,19 @@ class TestRunStudy:
 
         monkeypatch.setattr(crossval._Study, "__reduce_ex__", refuse)
         two = run_study(stack, doms, points, specs, workers=2, **kwargs)
-        assert one.scores == two.scores  # exact float equality
-        for m in one.model_ids:
-            for t in one.by_subset[m]:
-                np.testing.assert_array_equal(one.by_subset[m][t], two.by_subset[m][t])
-                np.testing.assert_array_equal(
-                    one.mean_residual[m][t], two.mean_residual[m][t]
-                )
-            assert vars(one.dic[m]) == vars(two.dic[m])
-            np.testing.assert_array_equal(one.summaries[m].mean, two.summaries[m].mean)
+        assert_same_table(one, two)
 
+    @pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
     def test_pool_has_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
         # a forked pool starts all its workers at its first task, so 64 workers
         # for 2 fold fits would fork 62 idle processes; this pool runs each
-        # task in-process as it is submitted
+        # task in-process as it is submitted. A model whose set-up failed has
+        # no fits, so it adds no worker, and a study of such models no pool.
         stack, doms, points, specs = study_inputs
+        bad = ModelSpec(
+            covariates=("nope",), include_poceanica=False, include_field=False,
+            n_campaigns=1, model_id="m_bad",
+        )
         sizes = []
 
         class InProcessPool:
@@ -518,12 +534,14 @@ class TestRunStudy:
 
         monkeypatch.setattr(crossval, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(crossval, "_set_one_blas_thread", lambda: [])
-        table = run_study(
-            stack, doms, points, specs[:1], n_folds=2, n_draws=20,
-            partition_dims=(3, 3), seed=15, workers=64,
+        kwargs = dict(
+            n_folds=2, n_draws=20, partition_dims=(3, 3), seed=15, workers=64, fail_fast=False
         )
-        assert sizes == [2]
-        assert set(table.scores) == {"m_depth"}
+        for study_specs, want in (([specs[0]], [2]), ([specs[0], bad], [2]), ([bad], [])):
+            sizes.clear()
+            table = run_study(stack, doms, points, study_specs, **kwargs)
+            assert sizes == want, [s.model_id for s in study_specs]
+        assert set(table.failures) == {"m_bad"} and table.scores == {}
 
     def test_fold_scores_match_aggregate_crps_of_the_residuals(self, study_inputs, monkeypatch):
         # oracle: each fold's (A, G) residuals, recorded as its task makes
@@ -534,9 +552,9 @@ class TestRunStudy:
         task = crossval._fold_fit_task
         residuals = crossval.validation_residuals
 
-        def keyed_task(study, model_idx, k, theta_init):
+        def keyed_task(model_idx, k, theta_init):
             current[:] = [(model_idx, k)]
-            return task(study, model_idx, k, theta_init)
+            return task(model_idx, k, theta_init)
 
         def recording_residuals(*args):
             recorded[current[0]] = out = residuals(*args)
@@ -560,9 +578,7 @@ class TestRunStudy:
                 table.mean_residual[m][1], resid.mean(axis=(0, 1)), rtol=1e-12, atol=0
             )
 
-    @pytest.mark.skipif(
-        crossval._MP_CONTEXT.get_start_method() != "fork", reason="needs forked workers"
-    )
+    @pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
     def test_failed_folds_are_recorded_alike_at_any_worker_count(self, study_inputs, monkeypatch):
         # tasks finish in no fixed order at two workers; the table must not
         # show it. Folds 3 and 1 of m_null raise, in the task's own process.
@@ -590,7 +606,9 @@ class TestRunStudy:
         np.testing.assert_array_equal(one.by_subset["m_depth"][1], two.by_subset["m_depth"][1])
         assert one.by_subset.keys() == two.by_subset.keys()
 
-    def test_fold_task_result_grows_with_subsets_not_draws(self, stack, campaign_domains, survey):
+    def test_fold_task_result_grows_with_subsets_not_draws(
+        self, stack, campaign_domains, survey, monkeypatch
+    ):
         # a fold task returns each subset's CRPS and mean residual: at
         # A = 500 and G = 64 its result pickles to well under the 256 KB of
         # the (A, G) residuals it scores, and fewer draws leave it unchanged
@@ -609,8 +627,9 @@ class TestRunStudy:
                 stack, doms, pts, [spec], folds, n_draws, 21, partitions
             )
             assert failures == {}
-            theta = crossval._full_fit_task(study, 0)[3]
-            out = crossval._fold_fit_task(study, 0, 1, theta)
+            monkeypatch.setattr(crossval, "_study", study)
+            theta = crossval._full_fit_task(0)[3]
+            out = crossval._fold_fit_task(0, 1, theta)
             assert out[-1] is None
             assert out[2].shape == out[3].shape == (64,)
             sizes[n_draws] = len(pickle.dumps(out))
@@ -618,7 +637,7 @@ class TestRunStudy:
         assert sizes[500] < 4096
 
     @pytest.mark.skipif(
-        crossval._MP_CONTEXT.get_start_method() != "fork" or not Path("/proc/self/task").is_dir(),
+        not crossval._FORK or not Path("/proc/self/task").is_dir(),
         reason="needs forked workers and /proc",
     )
     def test_forked_workers_start_no_openblas_threads(self, study_inputs, monkeypatch, tmp_path):
@@ -689,7 +708,6 @@ class TestRunStudy:
 # start-up data would block on a worker that never reads them. The script
 # prints a line each time its module-level code runs.
 UNGUARDED_SCRIPT = """\
-import multiprocessing
 import numpy as np
 from gridcox import (
     CovariateStack, ModelSpec, RasterGrid, Scenario, crossval, habitat_domains, run_study,
@@ -697,7 +715,7 @@ from gridcox import (
 )
 
 print("module code ran", flush=True)
-{set_context}
+crossval._FORK = {fork}
 codes = np.ones((64, 64))
 codes[40:, 40:] = 2.0
 legend = {{1: "Sandy", 2: "P. oceanica"}}
@@ -719,26 +737,21 @@ run_study(
 
 
 @pytest.mark.parametrize(
-    "workers, start_method",
+    "workers, fork",
     [
-        pytest.param(1, None, id="1"),
-        pytest.param(2, None, id="2"),
-        pytest.param(2, "spawn", id="2-spawn"),
+        pytest.param(1, crossval._FORK, id="1"),
+        pytest.param(2, crossval._FORK, id="2"),
+        pytest.param(2, False, id="2-nofork"),
     ],
 )
-def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers, start_method):
-    # One worker runs in the script's process, and forked workers (the pool's
-    # start method on Linux) do not re-run the script: both must finish, with the
-    # module-level code run once. Spawned workers re-run the script and die in
-    # their bootstrap: the study must raise BrokenProcessPool rather than wait
-    # on them. The script runs in its own session so that a timeout can kill
-    # it together with any worker it started.
-    set_context = (
-        "" if start_method is None
-        else f"crossval._MP_CONTEXT = multiprocessing.get_context({start_method!r})"
-    )
+def test_unguarded_script_runs_once(tmp_path, workers, fork):
+    # One worker, and any worker count without fork, runs in the script's
+    # process; forked workers do not re-run the script. Every case must
+    # finish, with the module-level code run once. The script runs in its
+    # own session so that a timeout can kill it together with any worker it
+    # started.
     script = tmp_path / "study.py"
-    script.write_text(UNGUARDED_SCRIPT.format(workers=workers, set_context=set_context))
+    script.write_text(UNGUARDED_SCRIPT.format(workers=workers, fork=fork))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen(
         [sys.executable, str(script)], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
@@ -751,92 +764,5 @@ def test_unguarded_script_runs_or_fails_without_hanging(tmp_path, workers, start
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail(f"unguarded study script still running after {timeout} s")
-    if workers == 1 or (start_method is None and sys.platform == "linux"):
-        assert proc.returncode == 0, err[-2000:]
-        assert out.count("module code ran") == 1, out
-    else:
-        assert proc.returncode != 0
-        assert "BrokenProcessPool" in err, err[-2000:]
-
-
-
-# A guarded study script that runs one study in-process and one in a spawn
-# pool. The caller sets the study up; a spawned worker re-imports this module
-# as ``__mp_main__``, so the counting ``bin_points`` is patched in every
-# process, and the log shows who binned.
-SPAWN_SCRIPT = """\
-import multiprocessing
-import os
-import pickle
-import sys
-import numpy as np
-from gridcox import (
-    CovariateStack, ModelSpec, RasterGrid, Scenario, crossval, habitat_domains, run_study,
-    simulate_lgcp,
-)
-
-task_bin_points = crossval.bin_points
-
-
-def counting_bin_points(spec, *args, **kwargs):
-    with open("bin_points.log", "a") as fh:
-        fh.write(f"{os.getpid()} {spec.model_id}\\n")
-    return task_bin_points(spec, *args, **kwargs)
-
-
-crossval.bin_points = counting_bin_points
-
-
-def main():
-    codes = np.ones((64, 64))
-    codes[40:, 40:] = 2.0
-    legend = {1: "Sandy", 2: "P. oceanica"}
-    habitat = RasterGrid(0.0, 0.0, 10.0, 10.0, codes, kind="categorical", legend=legend)
-    stack = CovariateStack(
-        grid=habitat, habitat=habitat, poceanica_label="P. oceanica", reference_class="Sandy"
-    )
-    domains = {1: habitat_domains(habitat, "P. oceanica")[0]}
-    specs = [
-        ModelSpec(covariates=(), include_poceanica=flag, include_field=False, n_campaigns=1,
-                  model_id=name)
-        for name, flag in (("m_poc", True), ("m_null", False))
-    ]
-    scn = Scenario(stack=stack, campaign_domains=domains, spec=specs[0], mu0=-5.5, gamma=-0.4)
-    points = simulate_lgcp(scn, np.random.default_rng(0)).points
-    kwargs = dict(n_folds=2, n_draws=40, partition_dims=(3, 3), seed=5)
-    one = run_study(stack, domains, points, specs, workers=1, **kwargs)
-    crossval._MP_CONTEXT = multiprocessing.get_context("spawn")
-    two = run_study(stack, domains, points, specs, workers=2, **kwargs)
-    with open("tables.pkl", "wb") as fh:
-        pickle.dump({"pid": os.getpid(), "one": one, "two": two}, fh)
-
-
-if __name__ == "__main__":
-    main()
-"""
-
-
-def test_spawned_workers_score_as_one_worker(tmp_path):
-    # Spawned workers receive the caller's set-up study with each task: they
-    # bin nothing, and their results equal the in-process study's exactly.
-    script = tmp_path / "study.py"
-    script.write_text(SPAWN_SCRIPT)
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    with open(tmp_path / "tables.pkl", "rb") as fh:
-        out = pickle.load(fh)
-    one, two = out["one"], out["two"]
-    calls = [ln.split() for ln in (tmp_path / "bin_points.log").read_text().splitlines()]
-    # two studies, each binning both models in the caller
-    assert sorted(m for _, m in calls) == ["m_null", "m_null", "m_poc", "m_poc"]
-    assert all(int(pid) == out["pid"] for pid, _ in calls)
-    assert one.failures == {} and two.failures == {}
-    assert one.scores == two.scores  # exact float equality
-    for m in one.model_ids:
-        for t in one.by_subset[m]:
-            np.testing.assert_array_equal(one.by_subset[m][t], two.by_subset[m][t])
-        assert vars(one.dic[m]) == vars(two.dic[m])
+    assert proc.returncode == 0, err[-2000:]
+    assert out.count("module code ran") == 1, out
