@@ -7,10 +7,13 @@ in-sample DIC ranking; the two need not agree.
 
 run_study sets the study up once, in this process, before any fit: it bins
 each model and pairs it with the partition's subsets, and each fold
-recounts its training points on those bins. With more than one worker, on
-Linux it forks worker processes, which inherit the set-up study from this
-process's memory; elsewhere, and with one worker, it fits in this process.
-The table is the same either way.
+recounts its training points on those bins. This process is one of the
+workers: with workers=2, on Linux it forks one child, which inherits the
+set-up study from this process's memory, and both claim fits from a shared
+counter; elsewhere, and with one worker, it fits in this process alone. The
+table is the same either way. A child that dies makes run_study raise
+ChildProcessError, and since fork is unsafe in a process that runs other
+threads, call it with more than one worker from a single-threaded script.
 """
 
 import numpy as np

@@ -23,22 +23,32 @@ points on those bins. A fold's task scores its own residuals and returns
 two (G,) arrays, each subset's CRPS and mean residual, and the caller
 averages them over folds. A model's fold fits start as soon as its full fit
 returns. Every task reads the study from this module, where the runner sets
-it for the length of the call. On Linux, above one worker, the tasks run in
-a pool forked from the caller: the workers inherit the study and the count
-of one thread from its memory, start no OpenBLAS threads and do not re-run
-the calling script. Everywhere else, and at one worker, every task runs in
-the caller. Fold marks are drawn once per study; every task derives its own
-generator from (seed, model, fold), so results are identical for any
-worker count.
+it for the length of the call.
+
+The caller is one of the workers. On Linux, above one worker, it forks
+``workers - 1`` children once per study, after the set-up; they inherit the
+study and the count of one thread from its memory, start no OpenBLAS threads
+and do not re-run the calling script. Every worker, the caller included,
+claims the next task from one shared counter. A child that dies before its
+results arrive makes the study raise ``ChildProcessError``. Fork is unsafe in
+a caller that runs other threads, so call ``run_study`` with more than one
+worker from a single-threaded process. Everywhere else, and at one worker,
+every task runs in the caller. Fold marks are drawn once per study; every
+task derives its own generator from (seed, model, fold), so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import os
+import pickle
+import select
+import signal
 import sys
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
@@ -329,11 +339,15 @@ class CrpsTable:
 # ---------------------------------------------------------------------------
 
 
-# Whether a study forks its pool above one worker. Forked workers inherit the
+# Whether a study forks workers above one. Forked children inherit the
 # caller's modules and study and do not re-run its __main__. Off Linux fork is
 # missing or unsafe with the system's libraries, so every task runs in the
 # caller, with the same result.
 _FORK = sys.platform == "linux"
+
+# The longest that a study's caller waits before it checks on its children,
+# and a child before it checks that its caller is still there.
+_POLL_S = 0.05
 
 
 def derive_rng(seed: int, *parts) -> np.random.Generator:
@@ -412,9 +426,9 @@ class _Study:
         return self.columns[self.folds.marks == k]
 
 
-# The study of the running ``run_study`` call, set before a pool forks: the
-# tasks read it here, in the caller or in the memory a worker inherited, so
-# no task carries it.
+# The study of the running ``run_study`` call, set before any child forks:
+# the tasks read it here, in the caller or in the memory a child inherited,
+# so no task carries it.
 _study: _Study | None = None
 
 
@@ -439,14 +453,6 @@ def _full_fit_task(model_idx: int):
     )
 
 
-def _run_now(fn, *args) -> Future:
-    """Run a study task in the caller and return it as a finished future:
-    ``run_study``'s ``submit`` at one worker."""
-    fut = Future()
-    fut.set_result(fn(*args))
-    return fut
-
-
 def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
     mode ``theta_init``, and score its validation residuals: the CRPS and
@@ -467,6 +473,213 @@ def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
             raise
         return model_idx, k, None, None, f"{type(e).__name__}: {e}"
     return model_idx, k, crps_g, resid.mean(axis=0), None
+
+
+class _Board:
+    """The tasks of one study, which every worker (the caller and the
+    children it forks) claims one at a time from a shared counter.
+
+    Task t < M is the full fit of the t-th model that set up; the rest are
+    the folds of each model in turn. ``next`` is the first unclaimed task,
+    behind ``lock``, and ``stop`` is set once a task has raised, so that no
+    more are claimed. A full fit writes its hyper mode into ``modes`` and
+    its model's ``state`` (1 fitted, -1 failed), then opens the model's
+    turnstile: a semaphore that each fold of the model takes and gives back
+    at once. (``multiprocessing``'s condition variable would wait in
+    ``notify_all``, without a timeout, for every sleeper to wake, so a
+    sleeper killed while waiting would hang the notifier.)
+
+    A worker waits at most ``_POLL_S`` at a time, then calls its ``check``,
+    which raises if the worker should give up.
+    """
+
+    def __init__(self, study: _Study, n_folds: int):
+        # fork's semaphores are unlinked at once, so no resource tracker starts
+        ctx = get_context("fork" if "fork" in get_all_start_methods() else None)
+        self.models = list(study.likes)
+        self.n_folds = n_folds
+        self.n_tasks = len(self.models) * (n_folds + 1)
+        sizes = [len(study.specs[i].hyper_names) for i in self.models]
+        self.offsets = [0, *itertools.accumulate(sizes)]
+        self.modes = ctx.RawArray("d", self.offsets[-1])
+        self.state = ctx.RawArray("b", len(self.models))
+        self.next = ctx.RawValue("i", 0)
+        self.stop = ctx.RawValue("b", 0)
+        self.lock = ctx.Lock()
+        self.turnstiles = [ctx.Semaphore(0) for _ in self.models]
+
+    @staticmethod
+    def _take(sem, check) -> None:
+        """Acquire ``sem``, calling ``check`` after every ``_POLL_S`` of waiting."""
+        while not sem.acquire(timeout=_POLL_S):
+            check()
+
+    def claim(self, check) -> int | None:
+        """The next task, or None once all are claimed or a task has raised."""
+        check()
+        self._take(self.lock, check)
+        try:
+            t = self.next.value
+            if self.stop.value or t == self.n_tasks:
+                return None
+            self.next.value = t + 1
+            return t
+        finally:
+            self.lock.release()
+
+    def publish(self, m: int, theta: np.ndarray | None) -> None:
+        """Give model m's folds the hyper mode of its full fit, or None if
+        that fit failed."""
+        if theta is not None:
+            self.modes[self.offsets[m] : self.offsets[m + 1]] = theta.tolist()
+        self.state[m] = -1 if theta is None else 1
+        self.turnstiles[m].release()
+
+    def mode(self, m: int, check) -> np.ndarray | None:
+        """Model m's hyper mode, once its full fit has published it; None if
+        that fit failed or a task has raised."""
+        self._take(self.turnstiles[m], check)
+        self.turnstiles[m].release()  # open for the model's other folds
+        if self.stop.value or self.state[m] < 0:
+            return None
+        return np.array(self.modes[self.offsets[m] : self.offsets[m + 1]])
+
+    def halt(self) -> None:
+        """Stop the claims and wake every waiting fold: a task has raised."""
+        self.stop.value = 1
+        for sem in self.turnstiles:
+            sem.release()
+
+    def work(self, check, results: dict) -> None:
+        """Claim and run tasks until none is left, keeping each result in
+        ``results`` by (model, fold), fold 0 being the full fit. A task that
+        raises halts the board before its error propagates."""
+        n_models = len(self.models)
+        try:
+            while (t := self.claim(check)) is not None:
+                if t < n_models:
+                    i = self.models[t]
+                    results[(i, 0)] = out = _full_fit_task(i)
+                    self.publish(t, out[3] if out[-1] is None else None)
+                    continue
+                m, k = divmod(t - n_models, self.n_folds)
+                theta = self.mode(m, check)
+                if theta is not None:
+                    i = self.models[m]
+                    results[(i, k + 1)] = _fold_fit_task(i, k + 1, theta)
+        except BaseException:
+            self.halt()
+            raise
+
+
+def _child(board: _Board, caller: int, w: int):
+    """A forked child's whole life: work on the board, then pickle
+    ``(results, error)`` down pipe ``w`` to the caller and exit. It never
+    returns into the caller's stack; it exits with status 0 only once
+    everything is written."""
+    status = 1
+    try:
+
+        def check():
+            if os.getppid() != caller:
+                raise ChildProcessError("the study's caller has gone")
+
+        results, error = {}, None
+        try:
+            board.work(check, results)
+        except Exception as e:  # raised again in the caller
+            error = e
+        data = memoryview(pickle.dumps((results, error)))
+        while data:
+            data = data[os.write(w, data) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Children:
+    """The children that a study forks to work on its board, with the read
+    end of each one's pipe (``pipes``, by pid) and the wait status of each
+    one reaped (``status``). Leaving the ``with`` block SIGKILLs and reaps
+    every child still there."""
+
+    def __init__(self):
+        self.pipes: dict[int, int] = {}
+        self.status: dict[int, int] = {}
+
+    def fork(self, board: _Board, n: int) -> None:
+        caller = os.getpid()
+        for _ in range(n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(board, caller, w)
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            self.pipes[pid] = r
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for pid in self.pipes:
+            if pid not in self.status:
+                os.kill(pid, signal.SIGKILL)
+                self.status[pid] = os.waitpid(pid, 0)[1]
+        for r in self.pipes.values():
+            os.close(r)
+
+    def _reap(self, pid: int, block: bool) -> None:
+        """Reap the child if it has ended (wait for it if ``block``), and
+        raise ``ChildProcessError`` if it ended abnormally: a child exits
+        with status 0 only after writing its results."""
+        if pid not in self.status:
+            done, status = os.waitpid(pid, 0 if block else os.WNOHANG)
+            if not done:
+                return
+            self.status[pid] = status
+        code = os.waitstatus_to_exitcode(self.status[pid])
+        if code:
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise ChildProcessError(f"study worker {pid} ended before its results arrived ({how})")
+
+    def check(self) -> None:
+        """Raise ``ChildProcessError`` if a child has ended abnormally."""
+        for pid in self.pipes:
+            self._reap(pid, block=False)
+
+    def collect(self) -> dict:
+        """Every child's results, merged, once all of them have been read;
+        raises the error of a child's task, if one raised."""
+        chunks = {r: [] for r in self.pipes.values()}
+        poller = select.poll()
+        for r in chunks:
+            poller.register(r, select.POLLIN)
+        unread = len(chunks)
+        while unread:
+            ready = poller.poll(_POLL_S * 1000)
+            if not ready:
+                self.check()
+            for r, _ in ready:
+                data = os.read(r, 1 << 16)
+                if data:
+                    chunks[r].append(data)
+                else:
+                    poller.unregister(r)
+                    unread -= 1
+        # a pipe at its end: the child has exited, or is exiting
+        merged = {}
+        for pid, r in self.pipes.items():
+            self._reap(pid, block=True)
+            results, error = pickle.loads(b"".join(chunks[r]))
+            if error is not None:
+                raise error  # the other children are reaped on leaving the with block
+            merged.update(results)
+        return merged
 
 
 def build_partitions(
@@ -507,20 +720,26 @@ def run_study(
     as ``aggregate_crps`` does. Results are gathered by (model, fold), so no
     output depends on the order in which tasks finish. On Linux every fit
     runs with one OpenBLAS thread. The caller's process holds one thread from
-    the first fit on. When the fits run in the caller it gets its previous
-    counts back on return. After a forked pool it keeps one thread: the fork
-    stops the caller's OpenBLAS threads, and restoring a count would start
-    them again, to busy-wait after this call has returned.
+    the first fit on. At one worker it gets its previous counts back on
+    return. After forking it keeps one thread: the fork stops the caller's
+    OpenBLAS threads, and restoring a count would start them again, to
+    busy-wait after this call has returned.
 
-    On Linux, above one worker, the fits run in a pool forked from the
-    caller, of at most one worker per fold fit of the models that set up: a
-    forked pool starts all its workers at once, however few tasks it gets.
-    The workers start with the caller's imported modules, the set-up study
-    and its count of one thread; they start no OpenBLAS threads of their
-    own, and do not re-run the calling script. Everywhere else, and at one
-    worker, every fit runs in the caller as it is submitted (``_run_now``),
-    through the same loop as a pool. Either way the result is byte-identical
-    for any ``workers`` value under a fixed seed.
+    The caller is one of the workers, and every worker runs the same loop
+    (``_Board.work``): it claims the next task from a shared counter, the
+    full fits first, and a fold waits until its model's full fit has
+    published its hyper mode. On Linux, above one worker, the caller forks
+    ``workers - 1`` children after the set-up, at most one worker per fold
+    fit of the models that set up. The children start with the caller's
+    imported modules, the set-up study and its count of one thread; they
+    start no OpenBLAS threads of their own, do not re-run the calling script,
+    and pickle their results back through a pipe each. Fork is unsafe in a
+    caller that runs other threads. A child that ends before its results
+    arrive makes this call kill the other children and raise
+    ``ChildProcessError``; an error raised by a child's task is raised here.
+    Everywhere else, and at one worker, every fit runs in the caller. Either
+    way the result is byte-identical for any ``workers`` value under a fixed
+    seed.
 
     With ``fail_fast=False`` a failed fit does not abort the sweep: the
     error is recorded per model and the remaining work continues. A model
@@ -536,34 +755,23 @@ def run_study(
     )
 
     workers = max(1, min(workers, len(study.likes) * n_folds)) if _FORK else 1
-    if workers > 1:
-        # kept after the study: forked workers inherit the count of 1, and
-        # the caller's OpenBLAS threads, stopped by the fork, stay stopped
-        _set_one_blas_thread()
-        context = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-    else:
-        context = _one_blas_thread()  # in-process fits; restored after them
-    global _study
-    _study = study
+    board = _Board(study, n_folds)
     # each task's result by (model, fold), fold 0 being the full fit
     results: dict[tuple[int, int], tuple] = {}
+    global _study
+    _study = study
     try:
-        with context as pool:
-            submit = pool.submit if workers > 1 else _run_now
-            tasks = {submit(_full_fit_task, i): (i, 0) for i in study.likes}
-            try:
-                while tasks:
-                    done, _ = wait(tasks, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        i, k = tasks.pop(fut)
-                        results[(i, k)] = out = fut.result()
-                        if k == 0 and out[-1] is None:
-                            # fold fits warm-start from their model's full-fit hyper mode
-                            for j in range(1, n_folds + 1):
-                                tasks[submit(_fold_fit_task, i, j, out[3])] = (i, j)
-            finally:
-                for fut in tasks:  # left by a task that raised
-                    fut.cancel()
+        if workers == 1:
+            with _one_blas_thread():  # fits in the caller; its count restored after them
+                board.work(lambda: None, results)
+        else:
+            # kept after the study: forked children inherit the count of 1, and
+            # the caller's OpenBLAS threads, stopped by the fork, stay stopped
+            _set_one_blas_thread()
+            with _Children() as children:
+                children.fork(board, workers - 1)
+                board.work(children.check, results)
+                results.update(children.collect())
     finally:
         _study = None
 

@@ -4,6 +4,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -436,16 +437,16 @@ class TestRunStudy:
         assert set(table.scores) == {"m_null"}
 
     def test_worker_count_does_not_change_results(self, study_inputs, monkeypatch):
-        # four workers run in a forked pool, or in the caller where fork is
-        # unavailable; neither may change a byte of the table
+        # four workers are the caller and three forked children, or the caller
+        # alone where fork is unavailable; neither may change a byte of the table
         stack, doms, points, specs = study_inputs
         kwargs = dict(n_folds=2, n_draws=60, partition_dims=(3, 3), seed=12)
         with monkeypatch.context() as m:
 
-            def no_pool(*args, **kwargs):
-                raise AssertionError("a study run in the caller must not start a process pool")
+            def no_fork():
+                raise AssertionError("a study run in the caller must not fork")
 
-            m.setattr(crossval, "ProcessPoolExecutor", no_pool)
+            m.setattr(os, "fork", no_fork)
             one = run_study(stack, doms, points, specs, workers=1, **kwargs)
             m.setattr(crossval, "_FORK", False)
             many = [run_study(stack, doms, points, specs, workers=4, **kwargs)]
@@ -508,40 +509,36 @@ class TestRunStudy:
         assert_same_table(one, two)
 
     @pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
-    def test_pool_has_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
-        # a forked pool starts all its workers at its first task, so 64 workers
-        # for 2 fold fits would fork 62 idle processes; this pool runs each
-        # task in-process as it is submitted. A model whose set-up failed has
-        # no fits, so it adds no worker, and a study of such models no pool.
+    def test_forks_no_more_workers_than_fold_fits(self, study_inputs, monkeypatch):
+        # the caller is one worker and forks the others at once, so 64 workers
+        # for 2 fold fits would fork 62 idle processes. A model whose set-up
+        # failed has no fits, so it adds no worker, and a study of such models
+        # forks nothing; nor does one worker, or a platform without fork.
         stack, doms, points, specs = study_inputs
         bad = ModelSpec(
             covariates=("nope",), include_poceanica=False, include_field=False,
             n_campaigns=1, model_id="m_bad",
         )
-        sizes = []
+        forks = []
+        fork = os.fork
 
-        class InProcessPool:
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(1)  # counted in the caller: the child starts inside fork() below
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            submit = staticmethod(crossval._run_now)
-
-        monkeypatch.setattr(crossval, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(crossval, "_set_one_blas_thread", lambda: [])
-        kwargs = dict(
-            n_folds=2, n_draws=20, partition_dims=(3, 3), seed=15, workers=64, fail_fast=False
-        )
-        for study_specs, want in (([specs[0]], [2]), ([specs[0], bad], [2]), ([bad], [])):
-            sizes.clear()
-            table = run_study(stack, doms, points, study_specs, **kwargs)
-            assert sizes == want, [s.model_id for s in study_specs]
-        assert set(table.failures) == {"m_bad"} and table.scores == {}
+        monkeypatch.setattr(os, "fork", counting_fork)
+        kwargs = dict(n_folds=2, n_draws=20, partition_dims=(3, 3), seed=15, fail_fast=False)
+        for study_specs, workers, want in (
+            ([specs[0]], 64, 1), ([specs[0], bad], 64, 1), ([bad], 64, 0), ([specs[0]], 1, 0),
+        ):
+            forks.clear()
+            table = run_study(stack, doms, points, study_specs, workers=workers, **kwargs)
+            assert len(forks) == want, ([s.model_id for s in study_specs], workers)
+        assert table.scores.keys() == {"m_depth"}
+        monkeypatch.setattr(crossval, "_FORK", False)
+        forks.clear()
+        table = run_study(stack, doms, points, [specs[0], bad], workers=64, **kwargs)
+        assert forks == [] and set(table.failures) == {"m_bad"}
 
     def test_fold_scores_match_aggregate_crps_of_the_residuals(self, study_inputs, monkeypatch):
         # oracle: each fold's (A, G) residuals, recorded as its task makes
@@ -606,6 +603,38 @@ class TestRunStudy:
         np.testing.assert_array_equal(one.by_subset["m_depth"][1], two.by_subset["m_depth"][1])
         assert one.by_subset.keys() == two.by_subset.keys()
 
+    @pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
+    def test_error_in_a_child_is_raised_by_the_caller(self, study_inputs, monkeypatch):
+        # a fold that raises in a forked child stops the study with the same
+        # error as a fold that raises in the caller, and leaves no child behind
+        stack, doms, points, specs = study_inputs
+        kwargs = dict(n_folds=2, n_draws=20, partition_dims=(3, 3), seed=22, fail_fast=True)
+        caller = os.getpid()
+        task = crossval._fold_fit_task
+
+        def failing_fold(model_idx, k, theta_init):
+            if os.getpid() != caller or not in_child_only:
+                raise FloatingPointError("fold fit forced to fail")
+            time.sleep(0.2)  # so that the child claims a fold
+            return task(model_idx, k, theta_init)
+
+        monkeypatch.setattr(crossval, "_fold_fit_task", failing_fold)
+        in_child_only = False
+        with pytest.raises(FloatingPointError) as one:
+            run_study(stack, doms, points, specs, workers=1, **kwargs)
+        in_child_only = True
+        with pytest.raises(FloatingPointError) as two:
+            run_study(stack, doms, points, specs, workers=2, **kwargs)
+        assert type(two.value) is type(one.value)
+        assert str(two.value) == str(one.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left
+        monkeypatch.setattr(crossval, "_fold_fit_task", task)
+        table = run_study(stack, doms, points, specs, workers=2, **kwargs)
+        assert set(table.scores) == {"m_depth", "m_null"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_fold_task_result_grows_with_subsets_not_draws(
         self, stack, campaign_domains, survey, monkeypatch
     ):
@@ -648,6 +677,7 @@ class TestRunStudy:
             pytest.skip("no OpenBLAS loaded")
         log = tmp_path / "fits.log"
         task_fit = crossval.fit
+        caller = os.getpid()
 
         def record():
             counts = " ".join(str(get()) for _, get in controls)
@@ -658,14 +688,26 @@ class TestRunStudy:
             record()
             draws = task_fit(*args, **kwargs)
             record()
+            if os.getpid() == caller:
+                time.sleep(0.05)  # so that the child claims fits too
             return draws
 
         monkeypatch.setattr(crossval, "fit", recording_fit)
         stack, doms, points, specs = study_inputs
         saved = [get() for _, get in controls]
-        for setter, _ in controls:
-            setter(2)  # a caller at 2 threads, whatever this machine's default
         try:
+            # this process's threads without OpenBLAS's: a fork stops them,
+            # and at a count of 1 nothing starts them again
+            for setter, _ in controls:
+                setter(1)
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+            own = str(len(os.listdir("/proc/self/task")))
+            for setter, _ in controls:
+                setter(2)  # a caller at 2 threads, whatever this machine's default
+            assert len(os.listdir("/proc/self/task")) > int(own)  # OpenBLAS's run again
             run_study(
                 stack, doms, points, specs, n_folds=2, n_draws=20, partition_dims=(3, 3),
                 seed=14, workers=2,
@@ -676,8 +718,13 @@ class TestRunStudy:
                 setter(n)
         lines = [ln.split() for ln in log.read_text().splitlines()]
         assert len(lines) == 2 * 3 * len(specs)  # 1 full and 2 fold fits per model
-        assert all(int(pid) != os.getpid() for pid, *_ in lines)
-        assert all(rest == ["1"] * (1 + len(controls)) for _, *rest in lines), lines
+        # the caller and the child it forks each fit: the caller with no
+        # OpenBLAS thread, the child with its one thread alone
+        assert {int(pid) == os.getpid() for pid, *_ in lines} == {True, False}, lines
+        ones = ["1"] * len(controls)
+        for pid, threads, *counts in lines:
+            assert counts == ones, lines
+            assert threads == (own if int(pid) == os.getpid() else "1"), lines
         # the caller keeps one thread: restoring 2 would restart the server
         # threads that the fork stopped
         assert after == [1] * len(controls)
@@ -766,3 +813,95 @@ def test_unguarded_script_runs_once(tmp_path, workers, fork):
         pytest.fail(f"unguarded study script still running after {timeout} s")
     assert proc.returncode == 0, err[-2000:]
     assert out.count("module code ran") == 1, out
+
+
+# A study whose task, patched by name as ``perfbench``'s tracer patches it,
+# SIGKILLs its own process when it runs in a forked child, after a pause. The
+# caller pauses in its own tasks of that kind, so that the child claims one.
+# Either way the caller must raise ChildProcessError, and leave no child
+# behind.
+DYING_WORKER_SCRIPT = """\
+import os, signal, time
+import numpy as np
+from gridcox import (
+    CovariateStack, ModelSpec, RasterGrid, Scenario, crossval, habitat_domains, run_study,
+    simulate_lgcp,
+)
+
+caller = os.getpid()
+task = crossval.{task}
+
+
+def dying_task(*args):
+    if os.getpid() != caller:
+        time.sleep({child_pause})
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep({caller_pause})
+    return task(*args)
+
+
+crossval.{task} = dying_task
+codes = np.ones((16, 16))
+codes[10:, 10:] = 2.0
+legend = {{1: "Sandy", 2: "P. oceanica"}}
+habitat = RasterGrid(0.0, 0.0, 10.0, 10.0, codes, kind="categorical", legend=legend)
+stack = CovariateStack(
+    grid=habitat, habitat=habitat, poceanica_label="P. oceanica", reference_class="Sandy"
+)
+domains = {{1: habitat_domains(habitat, "P. oceanica")[0]}}
+specs = [
+    ModelSpec(covariates=(), include_poceanica=poc, include_field=False, n_campaigns=1,
+              model_id=f"m_{{poc}}")
+    for poc in (False, True)
+]
+scn = Scenario(stack=stack, campaign_domains=domains, spec=specs[0], mu0=-3.0)
+points = simulate_lgcp(scn, np.random.default_rng(0)).points
+try:
+    run_study(
+        stack, domains, points, specs, n_folds=2, n_draws=20, partition_dims=(2, 2),
+        workers=2,
+    )
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", flush=True)
+"""
+
+
+@pytest.mark.skipif(not crossval._FORK, reason="needs forked workers")
+@pytest.mark.parametrize(
+    "task, child_pause, caller_pause",
+    [
+        # two models: the child claims one full fit while the caller holds the
+        # other, and dies while the caller waits for its mode at a fold
+        pytest.param("_full_fit_task", 1.0, 0.3, id="full"),
+        pytest.param("_fold_fit_task", 0.0, 0.5, id="fold"),
+    ],
+)
+def test_dying_worker_fails_the_study(tmp_path, task, child_pause, caller_pause):
+    script = tmp_path / "study.py"
+    script.write_text(DYING_WORKER_SCRIPT.format(
+        task=task, child_pause=child_pause, caller_pause=caller_pause
+    ))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    timeout = 120
+    start = time.monotonic()
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"study with a dying worker still running after {timeout} s")
+    elapsed = time.monotonic() - start
+    assert proc.returncode != 0, out
+    assert "ChildProcessError: study worker" in err, err[-2000:]
+    assert "killed by signal 9" in err, err[-2000:]
+    if task == "_full_fit_task":
+        assert ", in mode\n" in err, err[-2000:]  # raised while the fold waited
+    assert out.strip() == "no child left", out
+    assert elapsed < timeout / 4

@@ -22,7 +22,7 @@ diffing the output compares them. One line per output:
     crossval`` write.
 
 ``--workers`` sets the study's or the CLI's worker count (default: the
-workload's own); ``field_fit_96`` runs no pool and takes none.
+workload's own); ``field_fit_96`` runs no study and takes none.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     workload = all_workloads()[args.workload]
     workers = workload.workers if args.workers is None else args.workers
     if args.workload == "field_fit_96" and args.workers is not None:
-        parser.error("field_fit_96 runs no pool; drop --workers")
+        parser.error("field_fit_96 runs no study; drop --workers")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for entry in (int(r) for r in args.replicates.split(",")):
