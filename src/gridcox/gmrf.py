@@ -157,6 +157,15 @@ class LatticeMesh:
         c = np.arange(self.grid_cols) + self.halo
         return (r[:, None] * self.cols + c[None, :]).ravel()
 
+    def grid_view(self, a: np.ndarray) -> np.ndarray:
+        """The grid cells' entries of ``a``, whose first axis runs over the mesh
+        nodes, as a (grid_rows, grid_cols, ...) view: the mesh read as rows x
+        cols, less the halo. Flattened over its first two axes it is
+        ``a[grid_to_mesh]``, without the copy."""
+        h = self.halo
+        lattice = a.reshape(self.rows, self.cols, *a.shape[1:])
+        return lattice[h : h + self.grid_rows, h : h + self.grid_cols]
+
     @cached_property
     def offsets(self) -> np.ndarray:
         """Offsets k >= 0 of the non-zero diagonals of G @ G, ascending."""

@@ -17,7 +17,8 @@ Fitting splits the latent vector u into the field block w (large, banded
 precision) and the dense block d (small), laid out as
 ``ModelSpec.dense_columns``: intercept, covariates, gamma, mu_t. For a
 fixed hyperparameter point theta the posterior mode of u is found by Newton
-with step-halving; because the Poisson Hessian contributes only a diagonal to
+with step-halving, each iterate's eta, Poisson means and prior product
+computed once (``_Latent``) for its objective, gradient and Hessian; because the Poisson Hessian contributes only a diagonal to
 the w block, each step factors an arrowhead matrix (banded + dense border)
 instead of a general sparse one. That diagonal, and the border, are zero on
 the mesh rows before the first and after the last row holding a design cell,
@@ -30,7 +31,11 @@ posterior draws pick a grid point by weight, add within-cell jitter on theta,
 and draw the latent vector from the Gaussian approximation at that point. The
 field is drawn on the whole mesh and kept on the raster grid's cells: the
 halo only keeps the prior's boundary effects off the domain, and no output
-reads it.
+reads it. Besides the draws, sampling holds one whole-lattice factor and the
+largest grid point's standard normals: every grid point fills a view of one
+buffer of normals, solves its draws in place there, and adds their grid
+block straight into the draws through a view (``LatticeMesh.grid_view``),
+with no copy of it.
 """
 
 from __future__ import annotations
@@ -232,10 +237,14 @@ class GriddedLikelihood:
         """Expected count of every group at its log-intensity ``eta``."""
         return self.exposure * np.exp(eta)
 
-    def loglik(self, eta: np.ndarray, with_const: bool = False) -> float:
+    def loglik(self, eta: np.ndarray, with_const: bool = False,
+               mean: np.ndarray | None = None) -> float:
         """Poisson count log-likelihood at the groups' log-intensities ``eta``
-        (``groups.eta``); ``with_const`` adds the eta-free ``loglik_const``."""
-        total = float(self.y @ eta - self.poisson_mean(eta).sum())
+        (``groups.eta``), whose ``poisson_mean`` is ``mean`` if given;
+        ``with_const`` adds the eta-free ``loglik_const``."""
+        if mean is None:
+            mean = self.poisson_mean(eta)
+        total = float(self.y @ eta - mean.sum())
         return total + self.loglik_const if with_const else total
 
 
@@ -307,6 +316,28 @@ class _DenseFactor:
         return z_w, np.linalg.solve(self.ls.T, z_d)
 
 
+@dataclass
+class _Latent:
+    """One latent vector (u_w, u_d) with what Newton and the Laplace log
+    posterior read of it, each computed once: the groups' log-intensities
+    ``eta``, their Poisson means ``mean``, the prior product ``qu`` = Q u_w
+    (None without a field), the log-likelihood ``loglik`` (without the eta-free
+    constant) and the prior quadratic form ``quad``."""
+
+    u_w: np.ndarray
+    u_d: np.ndarray
+    eta: np.ndarray
+    mean: np.ndarray
+    qu: np.ndarray | None
+    loglik: float
+    quad: float
+
+    @property
+    def objective(self) -> float:
+        """The inner objective: log-likelihood plus the prior's kernel."""
+        return self.loglik - 0.5 * self.quad
+
+
 class _Inner:
     """Poisson likelihood plus Gaussian prior for one (sigma, rho, tau), over
     the likelihood's groups. The latent field block ``u_w`` lives on the whole
@@ -336,48 +367,52 @@ class _Inner:
             out += u_w[self.groups.mesh_index]
         return out
 
-    def prior_quad(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
+    def at(self, u_w: np.ndarray, u_d: np.ndarray) -> _Latent:
+        """The latent vector (u_w, u_d) with its eta, Poisson means and prior
+        product: one exp and one stencil pass per latent vector."""
+        eta = self.eta(u_w, u_d)
+        mean = self.like.poisson_mean(eta)
         quad = float(np.dot(self.dense_prior * u_d, u_d))
+        qu = None
         if self.n_w:
-            quad += self.prec.quadform(u_w)
-        return quad
+            qu = self.prec.matvec(u_w)
+            quad += float(np.dot(u_w, qu))
+        return _Latent(u_w, u_d, eta, mean, qu, self.like.loglik(eta, mean=mean), quad)
 
-    def objective(self, u_w: np.ndarray, u_d: np.ndarray) -> float:
-        return self.like.loglik(self.eta(u_w, u_d)) - 0.5 * self.prior_quad(u_w, u_d)
-
-    def gradient(self, u_w: np.ndarray, u_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        like, groups = self.like, self.groups
-        resid = like.y - like.poisson_mean(self.eta(u_w, u_d))
-        g_d = groups.x.T @ resid - self.dense_prior * u_d
+    def gradient(self, p: _Latent) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the inner objective at ``p``, as (field block, dense block)."""
+        groups = self.groups
+        resid = self.like.y - p.mean
+        g_d = groups.x.T @ resid - self.dense_prior * p.u_d
         g_w = np.zeros(0)
         if self.n_w:
             g_w = np.bincount(groups.mesh_index, weights=resid, minlength=self.n_w)
-            g_w -= self.prec.matvec(u_w)
+            g_w -= p.qu
         return g_w, g_d
 
-    def _hessian(self, u_w: np.ndarray, u_d: np.ndarray, nodes: slice):
-        """The negated Hessian (prior precision + Poisson weights) as (band of
-        the field block on the mesh ``nodes``, its border with the dense block
-        on those nodes, dense block); the field parts are None without a field.
-        The nodes must hold every design cell. Counts one factorization."""
+    def _hessian(self, mean: np.ndarray, nodes: slice):
+        """The negated Hessian (prior precision + Poisson weights, the groups'
+        Poisson ``mean``) as (band of the field block on the mesh ``nodes``,
+        its border with the dense block on those nodes, dense block); the
+        field parts are None without a field. The nodes must hold every design
+        cell. Counts one factorization."""
         self.n_factors += 1
         x, idx = self.groups.x, self.groups.mesh_index - nodes.start
-        w = self.like.poisson_mean(self.eta(u_w, u_d))
-        s = np.diag(self.dense_prior) + (x * w[:, None]).T @ x
+        s = np.diag(self.dense_prior) + (x * mean[:, None]).T @ x
         if not self.n_w:
             return None, None, s
         size = nodes.stop - nodes.start
         b = np.column_stack(
-            [np.bincount(idx, weights=w * x[:, j], minlength=size) for j in range(self.m)]
+            [np.bincount(idx, weights=mean * x[:, j], minlength=size) for j in range(self.m)]
         )
         ab = self.prec.band(nodes.start, nodes.stop)
-        ab[0] += np.bincount(idx, weights=w, minlength=size)
+        ab[0] += np.bincount(idx, weights=mean, minlength=size)
         return ab, b, s
 
-    def _hessian_factor(self, u_w: np.ndarray, u_d: np.ndarray):
+    def _hessian_factor(self, mean: np.ndarray):
         """Factor of the negated Hessian on the whole lattice, in natural node
         order: the factor that posterior draws map through."""
-        ab, b, s = self._hessian(u_w, u_d, slice(0, self.n_w))
+        ab, b, s = self._hessian(mean, slice(0, self.n_w))
         with _positive_definite():
             return _banded.ArrowFactor(ab, b, s) if self.n_w else _DenseFactor(s)
 
@@ -394,47 +429,45 @@ class _Inner:
         bottom = prec.band(q - bw, q + min(n - q, bw), reverse=True)
         return _banded.EndElimination(ends, p, top, bottom)
 
-    def _newton_factor(self, u_w: np.ndarray, u_d: np.ndarray):
+    def _newton_factor(self, mean: np.ndarray):
         """The factor of ``_hessian_factor``, with the end rows eliminated
         (``_ends``): each Newton step factors only ``like.data_nodes``."""
         if not self.n_w:
-            return self._hessian_factor(u_w, u_d)
+            return self._hessian_factor(mean)
         with _positive_definite():
-            return _banded.EndArrowFactor(
-                self._ends, *self._hessian(u_w, u_d, self.like.data_nodes)
-            )
+            return _banded.EndArrowFactor(self._ends, *self._hessian(mean, self.like.data_nodes))
 
     def newton(self, u_w: np.ndarray, u_d: np.ndarray):
-        """Mode of the latent posterior; returns (u_w, u_d, factor, n_iter)."""
-        u_w, u_d = u_w.copy(), u_d.copy()
-        obj = self.objective(u_w, u_d)
+        """Mode of the latent posterior; returns (mode as a ``_Latent``,
+        factor, n_iter). Each iterate is evaluated once (``at``): its line
+        search trial, gradient and Hessian weights share one eta and exp."""
+        p = self.at(u_w.copy(), u_d.copy())
         factor = None
         for it in range(NEWTON_MAX_ITER + 1):
-            g_w, g_d = self.gradient(u_w, u_d)
+            g_w, g_d = self.gradient(p)
             gnorm = float(np.max(np.abs(np.concatenate([g_w, g_d])), initial=0.0))
-            if gnorm < NEWTON_GRAD_TOL:
-                # the factor of the previous step, except after the last one
-                if factor is None or it == NEWTON_MAX_ITER:
-                    factor = self._newton_factor(u_w, u_d)
-                return u_w, u_d, factor, it
-            if it == NEWTON_MAX_ITER:
+            converged = gnorm < NEWTON_GRAD_TOL
+            if converged and factor is not None and it < NEWTON_MAX_ITER:
+                return p, factor, it  # the factor of the previous step
+            if not converged and it == NEWTON_MAX_ITER:
                 raise FitError(
                     f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                     f"(gradient max-norm {gnorm:.3e})"
                 )
-            factor = self._newton_factor(u_w, u_d)
+            factor = None  # free the previous step's factor before building this one
+            factor = self._newton_factor(p.mean)
+            if converged:
+                return p, factor, it
             step_w, step_d = factor.solve(g_w, g_d)
             scale = 1.0
             # accept any move within summation noise of the current value:
             # near the mode a full step gains less than the noise floor
-            noise = 1e-9 * (1.0 + abs(obj))
+            noise = 1e-9 * (1.0 + abs(p.objective))
             for _ in range(40):
-                new_w = u_w + scale * step_w
-                new_d = u_d + scale * step_d
                 # an overflowing exp scores -inf, and the halving rejects it
                 with np.errstate(over="ignore"):
-                    new_obj = self.objective(new_w, new_d)
-                if new_obj > obj - noise:
+                    trial = self.at(p.u_w + scale * step_w, p.u_d + scale * step_d)
+                if trial.objective > p.objective - noise:
                     break
                 scale *= 0.5
             else:
@@ -442,7 +475,7 @@ class _Inner:
                     f"Newton line search failed at iteration {it + 1} "
                     f"(gradient max-norm {gnorm:.3e})"
                 )
-            u_w, u_d, obj = new_w, new_d, new_obj
+            p = trial
 
 
 def _inner_at(like: GriddedLikelihood, hyper: MaternHyper | None, tau: float | None) -> _Inner:
@@ -470,9 +503,8 @@ def inner_objective_grad(
     derivative checking.
     """
     inner = _inner_at(like, hyper, tau)
-    obj = inner.objective(u_w, u_d)
-    g_w, g_d = inner.gradient(u_w, u_d)
-    return obj, np.concatenate([g_w, g_d])
+    p = inner.at(u_w, u_d)
+    return p.objective, np.concatenate(inner.gradient(p))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +564,7 @@ class _Explorer:
             raise FitError("hyperparameter exploration exceeded its evaluation budget")
         self.n_evals += 1
         inner = _inner_at(self.like, *self._unpack(theta))
-        u_w, u_d, factor, iters = inner.newton(self.warm_w, self.warm_d)
+        p, factor, iters = inner.newton(self.warm_w, self.warm_d)
         self.newton_iters += iters
         self.factorizations += inner.n_factors
         self.end_factorizations += inner.n_end_factors
@@ -541,22 +573,22 @@ class _Explorer:
         if self.spec.include_field:
             logdet_prior += inner.prec.logdet
         lp = (
-            self.like.loglik(inner.eta(u_w, u_d), with_const=True)
-            - 0.5 * inner.prior_quad(u_w, u_d)
+            p.loglik + self.like.loglik_const
+            - 0.5 * p.quad
             + 0.5 * logdet_prior
             - 0.5 * factor.logdet
             + self._log_hyper_prior(theta)
         )
-        point = _ThetaPoint(theta=theta.copy(), log_post=lp, u_w=u_w, u_d=u_d)
+        point = _ThetaPoint(theta=theta.copy(), log_post=lp, u_w=p.u_w, u_d=p.u_d)
         self.cache[key] = point
-        self.warm_w, self.warm_d = u_w, u_d
+        self.warm_w, self.warm_d = p.u_w, p.u_d
         return point
 
     def factor_at(self, point: _ThetaPoint):
         """Rebuild the Gaussian approximation's factor at a cached mode."""
         inner = _inner_at(self.like, *self._unpack(point.theta))
         self.factorizations += 1
-        return inner._hessian_factor(point.u_w, point.u_d)
+        return inner._hessian_factor(self.like.poisson_mean(inner.eta(point.u_w, point.u_d)))
 
     def hill_climb(
         self, theta0: np.ndarray, steps: tuple[float, ...] = (0.8, 0.4, 0.2, 0.1)
@@ -645,8 +677,13 @@ def fit(
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
     ``spec.hyper_names`` order). Each field draw is made on the whole mesh
-    and kept on the grid cells alone (``PosteriorDraws.w``). On Linux the
-    fit runs with one OpenBLAS thread (``_one_blas_thread``).
+    and kept on the grid cells alone (``PosteriorDraws.w``). Sampling's
+    memory is the draws, one whole-lattice factor at a time (each grid
+    point's factor is freed once its draws are solved) and one buffer of
+    (mesh nodes, n_g) standard normals for the largest grid point's n_g
+    draws, which every grid point fills and solves in place; the grid block
+    goes straight into the draws, with no copy. On Linux the fit runs with
+    one OpenBLAS thread (``_one_blas_thread``).
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
@@ -681,10 +718,12 @@ def fit(
     weights /= weights.sum()
 
     counts = rng.multinomial(n_draws, weights)
-    grid_nodes = like.mesh.grid_to_mesh if n_w else np.zeros(0, dtype=int)
+    mesh = like.mesh
     dense = np.empty((n_draws, spec.n_dense))
-    w_draws = np.empty((n_draws, grid_nodes.size))
+    w_draws = np.empty((n_draws, mesh.grid_rows * mesh.grid_cols if n_w else 0))
     log_hyper = np.empty((n_draws, h))
+    # every group's field normals, solved in place: one buffer for the fit
+    normals = np.empty(n_w * int(counts.max()))
     pos = 0
     for g in np.flatnonzero(counts):
         point = points[g]
@@ -692,16 +731,18 @@ def fit(
         factor = explorer.factor_at(point)
         jitter = rng.uniform(-0.5, 0.5, size=(n_g, h)) * delta
         log_hyper[pos : pos + n_g] = point.theta + jitter
-        z_w = rng.standard_normal((n_w, n_g))
+        z_w = rng.standard_normal(out=normals[: n_w * n_g].reshape(n_w, n_g))
         z_d = rng.standard_normal((spec.n_dense, n_g))
         x_w, x_d = factor.sample(z_w, z_d)
-        # only the grid nodes' rows, added straight into the draws
-        np.add(point.u_w[grid_nodes], np.take(x_w, grid_nodes, axis=0).T,
-               out=w_draws[pos : pos + n_g])
+        del factor  # before the next group builds its own
+        if n_w:
+            # the grid block of the solved draws, added straight into the
+            # draws' (grid rows, grid cols, n_g) view
+            out = w_draws[pos : pos + n_g].reshape(n_g, mesh.grid_rows, mesh.grid_cols)
+            np.add(mesh.grid_view(point.u_w)[..., None], mesh.grid_view(x_w),
+                   out=out.transpose(1, 2, 0))
         dense[pos : pos + n_g] = (point.u_d[:, None] + x_d).T
         pos += n_g
-        # free this group's factor and normals before the next group builds its own
-        del factor, z_w, x_w
 
     return PosteriorDraws(
         spec=spec,

@@ -110,6 +110,25 @@ class TestMesh:
         # grid cell (3, 2) maps to mesh cell (5, 4)
         assert g2m[-1] == 5 * 7 + 4
 
+    @pytest.mark.parametrize("dims", [(5, 5, 2), (4, 7, 3), (6, 3, 5), (1, 4, 2)])
+    @pytest.mark.parametrize("trailing", [(), (3,), (1,)])
+    def test_grid_view_is_grid_to_mesh_without_a_copy(self, dims, trailing):
+        grid_rows, grid_cols, halo = dims
+        mesh = LatticeMesh(grid_rows, grid_cols, 2.0, 0.5, halo)
+        a = np.random.default_rng(0).standard_normal((mesh.n, *trailing))
+        view = mesh.grid_view(a)
+        assert view.shape == (grid_rows, grid_cols, *trailing)
+        assert np.shares_memory(view, a)
+        # bit for bit the fancy-indexed copy, in flat grid cell order
+        np.testing.assert_array_equal(
+            view.reshape(grid_rows * grid_cols, *trailing), a[mesh.grid_to_mesh]
+        )
+        # writes through the view land on the grid nodes and nowhere else
+        view[...] = -1.0
+        halo_nodes = np.setdiff1d(np.arange(mesh.n), mesh.grid_to_mesh)
+        assert (a[mesh.grid_to_mesh] == -1.0).all()
+        assert (a[halo_nodes] != -1.0).all()
+
     def test_stiffness_rows_sum_to_zero(self):
         mesh = LatticeMesh(3, 3, 2.0, 1.0, halo=1)
         g = dense_stiffness(mesh)

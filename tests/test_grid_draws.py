@@ -1,6 +1,7 @@
 """The posterior field kept on the raster grid alone: every output that reads
 it against dense per-cell formulas on the mesh-wide draws it came from, and
-the memory a fit saves by not keeping the mesh halo."""
+the memory a fit saves by not keeping the mesh halo, nor a copy of the grid
+block, nor a fresh array of normals per group."""
 
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from gridcox._banded import ArrowFactor
 from gridcox.crossval import (
     ResidualPairing,
     assign_folds,
@@ -122,3 +124,53 @@ def test_fit_keeps_no_mesh_wide_draws(small_survey):
     bound = 8 * n_draws * (mesh.n + n_grid)
     assert peak < bound
     assert draws.w.shape == (n_draws, n_grid)
+
+
+def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
+    # a one-campaign field model whose 2-cell halo is small against the grid:
+    # the 16 x 16 mesh has 256 nodes around the 144 grid cells, so a (grid
+    # cells, n_g) copy of a group's solved block would be 56% of its normals
+    stack, doms, _, points = small_survey
+    spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=1, pc_prior=PC)
+    mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2)
+    like = bin_points(spec, stack, {1: doms[1]}, points.for_campaign(1), mesh=mesh)
+    n_draws, n_grid = 4000, stack.grid.n_cells
+
+    normals, in_place = [], []
+    sample = ArrowFactor.sample
+
+    def recording(self, z_w, z_d):
+        x_w, x_d = sample(self, z_w, z_d)
+        normals.append(z_w)
+        in_place.append(np.shares_memory(x_w, z_w))
+        return x_w, x_d
+
+    monkeypatch.setattr(ArrowFactor, "sample", recording)
+    tracemalloc.start()
+    try:
+        draws = fit(like, n_draws=n_draws, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    # each group solves inside its normals, and every group's normals are
+    # views of the first group's buffer
+    assert len(normals) == draws.diagnostics["grid_points"] == 9
+    assert all(in_place)
+    assert all(np.shares_memory(z, normals[0]) for z in normals)
+
+    # the theta grid point each draw came from: its jitter is under half a
+    # grid step on every axis
+    offsets = np.round((draws.log_hyper - draws.theta_mode) / draws.diagnostics["grid_delta"])
+    n_g = np.unique(offsets, axis=0, return_counts=True)[1].max()
+    # Bound: the (A, grid) draws, one full-lattice band of the factor and the
+    # largest group's (mesh.n, n_g) normals, 8.0 MB, plus a slack of
+    # (bandwidth + 64) doubles per draw of that group, 1.3 MB: the
+    # back-substitution's (n_g, bandwidth) block product and the small
+    # per-draw arrays (theta jitter, dense normals and solves, dense and
+    # theta draws). A (grid cells, n_g) copy of the solved block adds 1.9 MB
+    # (n_g 1639) and took the peak to 10.4 MB, 0.9 MB over the bound; the
+    # fit peaks at 8.8 MB.
+    bound = 8 * (n_draws * n_grid + (mesh.bandwidth + 1) * mesh.n + mesh.n * n_g)
+    slack = 8 * n_g * (mesh.bandwidth + 64)
+    assert peak < bound + slack

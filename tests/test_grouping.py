@@ -119,7 +119,7 @@ class TestGroupedAgainstCells:
         design = like.design
         resid = y - design.weight * np.exp(self.cell_eta(like, u_w, u_d))
         g_d = design.x.T @ resid - inner.dense_prior * u_d
-        g_w, got_d = inner.gradient(u_w, u_d)
+        g_w, got_d = inner.gradient(inner.at(u_w, u_d))
         np.testing.assert_allclose(got_d, g_d, rtol=1e-12)
         if like.n_mesh:
             expect_w = np.bincount(design.mesh_index, weights=resid, minlength=like.n_mesh)
@@ -137,7 +137,7 @@ class TestGroupedAgainstCells:
         a = np.column_stack([onto, design.x])
         expect = a.T @ (mu[:, None] * a)
         expect[n:, n:] += np.diag(inner.dense_prior)
-        ab, b, s = inner._hessian(u_w, u_d, slice(0, n))
+        ab, b, s = inner._hessian(inner.at(u_w, u_d).mean, slice(0, n))
         got = np.zeros_like(expect)
         got[n:, n:] = s
         if n:

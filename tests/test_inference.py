@@ -388,13 +388,13 @@ def test_newton_rejects_overflowing_trials(stack, campaign_domains, survey):
     pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
     like = bin_points(spec, stack, {1: campaign_domains[8]}, pts)
     inner = inference._inner_at(like, None, None)
-    _, ref, _, _ = inner.newton(np.zeros(0), np.zeros(1))
+    ref = inner.newton(np.zeros(0), np.zeros(1))[0].u_d
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, u_d, _, iters = inner.newton(np.zeros(0), np.array([-800.0]))
+        mode, _, iters = inner.newton(np.zeros(0), np.array([-800.0]))
     assert iters > 1
     atol = 2.0 * inference.NEWTON_GRAD_TOL / like.y.sum()
-    np.testing.assert_allclose(u_d, ref, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(mode.u_d, ref, rtol=0.0, atol=atol)
 
 
 class TestOneBlasThread:
@@ -506,6 +506,39 @@ def test_fit_runs_with_one_openblas_thread(stack, campaign_domains, monkeypatch)
     assert after == [2] * len(controls)
 
 
+@pytest.mark.parametrize("model", ["field", "glm"])
+def test_newton_evaluates_each_latent_iterate_once(stack, campaign_domains, survey, model,
+                                                   monkeypatch):
+    # oracle: the log-intensities every Poisson mean is taken at, recorded
+    # from outside. One theta evaluation (Newton from the explorer's zero
+    # start, then the Laplace log posterior) takes the mean once per latent
+    # vector it visits: the start, each accepted step and each rejected
+    # line-search trial. The objective, gradient, Hessian weights and log
+    # posterior of an iterate all read that one mean.
+    if model == "field":
+        like, theta = small_field_like(stack, campaign_domains), np.log([0.8, 70.0])
+    else:
+        pts = survey.for_campaign(8)
+        like = bin_points(glm_spec(), stack, {1: campaign_domains[8]},
+                          PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int)))
+        theta = np.zeros(0)
+    etas = []
+    poisson_mean = inference.GriddedLikelihood.poisson_mean
+
+    def recording(self, eta):
+        etas.append(eta.copy())
+        return poisson_mean(self, eta)
+
+    monkeypatch.setattr(inference.GriddedLikelihood, "poisson_mean", recording)
+    explorer = inference._Explorer(like, np.zeros(like.n_mesh), np.zeros(like.spec.n_dense))
+    explorer.evaluate(theta)
+    iters = explorer.newton_iters
+    assert iters >= 2
+    assert len(etas) >= iters + 1
+    distinct = {eta.tobytes() for eta in etas}
+    assert len(distinct) == len(etas), f"{len(etas)} means at {len(distinct)} points"
+
+
 def test_fit_counts_one_end_factorization_per_theta(stack, campaign_domains, survey):
     # the 2-cell halo makes each end exactly one band width (2 mesh rows) long
     draws = fit(small_field_like(stack, campaign_domains), n_draws=20,
@@ -608,7 +641,7 @@ class TestEndElimination:
         nodes = like.data_nodes
         assert nodes.stop - nodes.start >= inner.prec.mesh.bandwidth
         h = self.dense_hessian(like, inner, u_w, u_d)
-        factor = inner._newton_factor(u_w, u_d)
+        factor = inner._newton_factor(inner.at(u_w, u_d).mean)
         assert isinstance(factor, _banded.EndArrowFactor)
         assert factor.logdet == pytest.approx(np.linalg.slogdet(h)[1], rel=1e-12)
         rhs = np.random.default_rng(3).standard_normal(h.shape[0])
@@ -616,7 +649,7 @@ class TestEndElimination:
         np.testing.assert_allclose(np.concatenate([x_w, x_d]), np.linalg.solve(h, rhs),
                                    rtol=1e-10)
         assert inner.n_end_factors == 1 and inner.n_factors == 2
-        inner._newton_factor(u_w, u_d)  # the ends are factored once per theta
+        inner._newton_factor(inner.at(u_w, u_d).mean)  # the ends are factored once per theta
         assert inner.n_end_factors == 1 and inner.n_factors == 3
 
     def test_data_rows_set_the_ends(self):
@@ -633,7 +666,7 @@ class TestEndElimination:
         like, inner, u_w, u_d = self.setup(dims, data_rows)
         u_w[like.design.mesh_index[3]] = np.nan
         with pytest.raises(FitError, match="non-positive-definite"):
-            inner._newton_factor(u_w, u_d)
+            inner._newton_factor(inner.at(u_w, u_d).mean)
 
 
 def random_draws(spec, mesh, n_draws, seed):
