@@ -439,7 +439,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         rows,
     )
     if spec.include_field:
-        raster = _field_raster(stack.grid, post.w.mean(axis=0))
+        raster = _field_raster(stack.grid, post.field_mean)
         _atomic_write(cfg.out_dir / "field_posterior_mean.asc", write_raster, raster)
 
     print(summary)

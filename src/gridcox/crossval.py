@@ -12,9 +12,12 @@ A x G array. The CRPS of each fold's residual ensemble against 0 is averaged
 over folds (one score per subset), then pooled into a single score per
 model. Lower is better.
 
-Residuals are computed in two steps: ``ResidualPairing.build`` reduces a
-model's cells to (subset, group) pairs once, and ``validation_residuals``
-scores one fold's draws and validation points against that pairing.
+Residuals are computed in three steps: ``ResidualPairing.build`` reduces a
+model's cells to (subset, group) pairs once; a fold's fit integrates its
+intensity draws over the subsets as it makes them, through the pairing's
+``integrate``, the reduction it hands to ``fit``; and
+``validation_residuals`` turns those (A, G) integrals and the fold's
+validation points into residuals.
 
 The study runner fits every (model, fold) pair, on Linux with one OpenBLAS
 thread. Before any fit, the caller bins each model on all points and pairs
@@ -40,6 +43,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -57,7 +61,6 @@ from .inference import (
     DicResult,
     FitSummary,
     GriddedLikelihood,
-    PosteriorDraws,
     _one_blas_thread,
     _set_one_blas_thread,
     bin_points,
@@ -65,7 +68,7 @@ from .inference import (
     fit,
     summarize,
 )
-from .model import CellDesign, ModelSpec
+from .model import ModelSpec
 
 __all__ = [
     "FoldAssignment",
@@ -172,18 +175,19 @@ def subset_columns(partitions: dict[int, PartitionScheme], points: PointPattern)
 @dataclass(frozen=True)
 class ResidualPairing:
     """A likelihood's groups paired with the stacked subsets they integrate
-    over, for scoring residuals (``validation_residuals``).
+    over, for scoring residuals (``integrate``, ``validation_residuals``).
 
     Each campaign's cells are reduced to (subset, group) pairs, by subset then
     group, each weighted by its cell count, so every subset is one contiguous
-    segment of pairs: ``group`` holds each pair's group (a row of ``groups``),
-    ``n_cells`` its cell count, ``filled`` marks the subsets with design rows
-    and ``starts`` holds the first pair of each of them. In a field model
-    every group is one cell and every pair a cell. The pairing reads the
-    cells, not their counts, so the folds of a study share their model's.
+    segment of pairs: ``group`` holds each pair's group (a row of the
+    likelihood's ``groups``), ``n_cells`` its cell count, ``filled`` marks
+    the subsets with design rows and ``starts`` holds the first pair of each
+    of them; ``weight`` is the cell area. In a field model every group is one
+    cell and every pair a cell. The pairing reads the cells, not their
+    counts, so the folds of a study share their model's.
     """
 
-    groups: CellDesign
+    weight: float
     group: np.ndarray
     n_cells: np.ndarray
     filled: np.ndarray
@@ -212,16 +216,27 @@ class ResidualPairing:
         # return the pair its empty segment starts at, so it sums only the others
         filled = sizes > 0
         return cls(
-            groups=like.groups,
+            weight=design.weight,
             group=np.concatenate(pair_group),
             n_cells=np.concatenate(pair_cells),
             filled=filled,
             starts=(np.cumsum(sizes) - sizes)[filled],
         )
 
+    def integrate(self, out: np.ndarray, draws: slice, lam: np.ndarray) -> None:
+        """Integrate a block of intensity draws ``lam`` (groups, draws in the
+        block) over every subset, in units of the cell area, into rows
+        ``draws`` of ``out`` (A, G), leaving the columns of subsets without
+        design rows as they are: the reduction a fold hands to ``fit``. The
+        pairs read their group's row, so the exp ran once per group, not per
+        pair."""
+        pairs = lam[self.group]
+        pairs *= self.n_cells[:, None]
+        out[draws, self.filled] = np.add.reduceat(pairs, self.starts, axis=0).T
+
 
 def validation_residuals(
-    draws: PosteriorDraws,
+    integrals: np.ndarray,
     pairing: ResidualPairing,
     val_columns: np.ndarray,
     n_folds: int,
@@ -229,26 +244,18 @@ def validation_residuals(
     """Raw residual draws for one fold: observed validation counts minus
     1/(K-1) times the integrated training-intensity draws, per subset.
 
-    ``draws`` must come from a fit to the fold's training points with
-    unscaled exposures, so its intensity estimates the thinned training rate.
-    ``pairing`` pairs that likelihood's groups with the subsets, and
-    ``val_columns`` holds the stacked subset column of each validation point
-    (``subset_columns``). Returns one (A, G) array over the stacked subsets of
-    all campaigns; ``subset_slices(partitions)[t]`` holds campaign t's columns.
-
-    The intensity draws of the pairs' groups are made in blocks
-    (``CellDesign.eta_blocks``), exponentiated in place, weighted by the
-    pairs' cell counts and summed segment by segment (``np.add.reduceat``):
-    memory stays at two blocks of eta, never an (A, N) array.
+    ``integrals`` (A, G) holds each draw's training intensity integrated over
+    every stacked subset by ``pairing.integrate``, in units of the cell
+    area, which a fit to the fold's training points with unscaled exposures
+    reduced as it sampled (``fit``'s ``reduce``), so the intensity estimates
+    the thinned training rate. ``val_columns`` holds the stacked subset
+    column of each validation point (``subset_columns``). Returns one (A, G)
+    array over the stacked subsets of all campaigns, ``integrals`` itself,
+    overwritten; ``subset_slices(partitions)[t]`` holds campaign t's columns.
     """
-    out = np.zeros((draws.n_draws, pairing.filled.size))
-    for a, lam in pairing.groups.eta_blocks(draws.dense, draws.w, pairing.group):
-        np.exp(lam, out=lam)
-        lam *= pairing.n_cells
-        out[a, pairing.filled] = np.add.reduceat(lam, pairing.starts, axis=1)
-    out *= -(pairing.groups.weight / (n_folds - 1))
-    out += np.bincount(val_columns, minlength=pairing.filled.size)
-    return out
+    integrals *= -(pairing.weight / (n_folds - 1))
+    integrals += np.bincount(val_columns, minlength=pairing.filled.size)
+    return integrals
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +462,22 @@ def _full_fit_task(model_idx: int):
 
 def _fold_fit_task(model_idx: int, k: int, theta_init: np.ndarray):
     """Fit fold k's training pattern, warm-started at the full fit's hyper
-    mode ``theta_init``, and score its validation residuals: the CRPS and
-    the mean of each subset's (A,) ensemble, two (G,) arrays, so that the
-    result grows with the subsets and not with the draws."""
+    mode ``theta_init``, integrating its intensity draws over the subsets as
+    the fit makes them (``ResidualPairing.integrate``), and score its
+    validation residuals: the CRPS and the mean of each subset's (A,)
+    ensemble, two (G,) arrays, so that the result grows with the subsets and
+    not with the draws."""
     p = _study
     spec = p.specs[model_idx]
     try:
         like = p.fold_likelihood(model_idx, k)
+        pairing = p.pairings[model_idx]
+        integrals = np.zeros((p.n_draws, pairing.filled.size))
         rng = derive_rng(p.seed, spec.model_id, "fold", k)
-        draws = fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init)
+        fit(like, n_draws=p.n_draws, rng=rng, theta_init=theta_init,
+            reduce=functools.partial(pairing.integrate, integrals))
         resid = validation_residuals(
-            draws, p.pairings[model_idx], p.validation_columns(k), p.folds.n_folds
+            integrals, pairing, p.validation_columns(k), p.folds.n_folds
         )
         crps_g, _ = aggregate_crps(resid[:, None, :])
     except Exception as e:
@@ -748,6 +760,8 @@ def run_study(
     ids = [s.model_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate model ids")
+    if n_draws < 1:
+        raise ValueError(f"a study needs at least one draw per fit, not {n_draws}")
     folds = assign_folds(points, n_folds, derive_rng(seed, "folds"))
     partitions = build_partitions(campaign_domains, *partition_dims)
     study, failures = _Study.set_up(

@@ -29,13 +29,17 @@ a small axis-aligned grid around their posterior mode, spaced so the three
 points per axis straddle roughly the central 90% of the Gaussian profile;
 posterior draws pick a grid point by weight, add within-cell jitter on theta,
 and draw the latent vector from the Gaussian approximation at that point. The
-field is drawn on the whole mesh and kept on the raster grid's cells: the
-halo only keeps the prior's boundary effects off the domain, and no output
-reads it. Besides the draws, sampling holds one whole-lattice factor and the
-largest grid point's standard normals: every grid point fills a view of one
-buffer of normals, solves its draws in place there, and adds their grid
-block straight into the draws through a view (``LatticeMesh.grid_view``),
-with no copy of it.
+field is drawn on the whole mesh and never kept: every grid point fills a
+view of one buffer of standard normals and solves its draws in place there,
+and the fit reduces them at once (``_DrawReducer``) to what the pipeline
+reads. It keeps the field's mean on the raster grid's cells and, from the
+groups' intensities, ``ETA_BLOCK_DRAWS`` draws at a time, each draw's
+Poisson log-likelihood for the DIC; a caller's reduction takes the place of
+the latter, as a cross-validation fold's integrates the intensities over its
+subsets. Besides the dense
+and theta draws, sampling holds one whole-lattice factor, the largest grid
+point's normals and one block of intensities, never an array of every
+cell's draws.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import ctypes
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -73,6 +78,10 @@ NEWTON_GRAD_TOL = 1e-6
 GRID_HALF_WIDTH = 1.65  # theta grid offset in posterior sds: central 90% of a Gaussian
 AXIS_SD_CLIP = (0.1, 1.2)  # bounds on each theta axis's grid sd
 MAX_EXPLORE_EVALS = 150
+# Draws per block of ``_DrawReducer``: 50 draws of 4096 groups (a field
+# model's 64 x 64 cells, each its own group) are 1.6 MB, so a block stays in
+# cache from its eta through exp to its sums.
+ETA_BLOCK_DRAWS = 50
 
 
 class FitError(RuntimeError):
@@ -632,18 +641,25 @@ class _Explorer:
 
 @dataclass
 class PosteriorDraws:
-    """A posterior draws of the hyperparameters and all latent effects.
+    """A fit's A posterior draws of the hyperparameters and dense effects, and
+    what it kept of its field draws.
 
     ``dense`` is (A, n_dense), one column per entry of the column table
-    ``spec.dense_columns``. ``w`` is (A, grid cells), the field at every flat
-    cell id of the raster grid, as ``EffectVector.w`` (zero columns for
-    field-free models); the mesh halo is not kept. ``log_hyper`` is
-    (A, n_hyper) in ``spec.hyper_names`` order.
+    ``spec.dense_columns``, and ``log_hyper`` is (A, n_hyper) in
+    ``spec.hyper_names`` order. The field draws are reduced as they are made
+    (``_DrawReducer``): ``field_mean`` is their mean on the raster grid's
+    cells, indexed by flat cell id as ``EffectVector.w`` (empty for
+    field-free models), and ``loglik`` (A,) holds each draw's Poisson
+    log-likelihood under ``like``, the likelihood fitted, without its
+    eta-free ``loglik_const``; it is None when the fit was handed a
+    reduction of its own (``fit``'s ``reduce``).
     """
 
     spec: ModelSpec
+    like: GriddedLikelihood
     dense: np.ndarray
-    w: np.ndarray
+    field_mean: np.ndarray
+    loglik: np.ndarray | None
     log_hyper: np.ndarray
     theta_mode: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -653,8 +669,54 @@ class PosteriorDraws:
         return self.dense.shape[0]
 
     def mean_effects(self) -> EffectVector:
-        w = self.w.mean(axis=0) if self.spec.include_field else np.zeros(0)
-        return EffectVector(dense=self.dense.mean(axis=0), w=w)
+        return EffectVector(dense=self.dense.mean(axis=0), w=self.field_mean)
+
+
+class _DrawReducer:
+    """Reduces a fit's draws as each θ grid point's are solved (``fit``): it
+    sums the field on the grid cells and, ``ETA_BLOCK_DRAWS`` draws at a
+    time in one buffer, exponentiates the groups' log-intensities once for
+    the log-likelihoods (``loglik``, None with a ``reduce``) or ``reduce``."""
+
+    def __init__(
+        self,
+        like: GriddedLikelihood,
+        n_draws: int,
+        reduce: Callable[[slice, np.ndarray], None] | None = None,
+    ):
+        self.like = like
+        self.n_draws = n_draws
+        self.reduce = reduce
+        self.loglik = np.empty(n_draws) if reduce is None else None
+        mesh = like.mesh
+        self.field_sum = np.zeros((mesh.grid_rows, mesh.grid_cols) if like.n_mesh else 0)
+
+    def add(self, first: int, d: np.ndarray, w: np.ndarray) -> None:
+        """Reduce the draws ``first``, ``first + 1``, ...: their dense effects
+        ``d`` (n_dense, n) and the field on the whole mesh ``w`` (mesh
+        nodes, n), one column per draw."""
+        like, groups = self.like, self.like.groups
+        n_groups, n = groups.n_cells, d.shape[1]
+        if like.n_mesh:
+            self.field_sum += like.mesh.grid_view(w).sum(axis=-1)
+        buf = np.empty(n_groups * min(n, ETA_BLOCK_DRAWS))
+        for start in range(0, n, ETA_BLOCK_DRAWS):
+            stop = min(start + ETA_BLOCK_DRAWS, n)
+            eta = buf[: n_groups * (stop - start)].reshape(n_groups, stop - start)
+            np.matmul(groups.x, d[:, start:stop], out=eta)
+            if like.n_mesh:
+                eta += w[groups.mesh_index, start:stop]
+            draws = slice(first + start, first + stop)
+            if self.reduce is None:
+                dot_y = like.y @ eta
+                np.exp(eta, out=eta)
+                self.loglik[draws] = dot_y - like.exposure @ eta
+            else:
+                np.exp(eta, out=eta)
+                self.reduce(draws, eta)
+
+    def field_mean(self) -> np.ndarray:
+        return self.field_sum.ravel() / self.n_draws
 
 
 def _default_theta0(spec: ModelSpec) -> np.ndarray:
@@ -672,18 +734,28 @@ def fit(
     n_draws: int = 1000,
     rng: np.random.Generator | None = None,
     theta_init: np.ndarray | None = None,
+    reduce: Callable[[slice, np.ndarray], None] | None = None,
 ) -> PosteriorDraws:
-    """Fit the model and return posterior draws.
+    """Fit the model and return its posterior draws, with its field draws
+    reduced as they are made.
 
     ``theta_init`` warm-starts the hyperparameter search (log scale, in
-    ``spec.hyper_names`` order). Each field draw is made on the whole mesh
-    and kept on the grid cells alone (``PosteriorDraws.w``). Sampling's
-    memory is the draws, one whole-lattice factor at a time (each grid
-    point's factor is freed once its draws are solved) and one buffer of
-    (mesh nodes, n_g) standard normals for the largest grid point's n_g
-    draws, which every grid point fills and solves in place; the grid block
-    goes straight into the draws, with no copy. On Linux the fit runs with
-    one OpenBLAS thread (``_one_blas_thread``).
+    ``spec.hyper_names`` order); ``n_draws`` must be at least 1. Each grid
+    point's draws are reduced as soon as they are solved (``_DrawReducer``):
+    the fit keeps the field's mean on the grid cells and each draw's
+    log-likelihood (``PosteriorDraws``). A ``reduce`` given takes the place
+    of the log-likelihoods: every block of the groups' intensity draws is
+    passed to it as ``reduce(draws, lam)``, ``draws`` the slice of the draws
+    and ``lam`` their (groups, draws in the block) intensities, a buffer that
+    the next block overwrites. A cross-validation fold integrates them over
+    its subsets this way, and pays for no log-likelihood it would not read.
+
+    Sampling's memory is the dense and theta draws, one whole-lattice factor
+    at a time (each grid point's factor is freed once its draws are solved),
+    one buffer of (mesh nodes, n_g) standard normals for the largest grid
+    point's n_g draws, which every grid point fills and solves in place, and
+    one block of intensities. On Linux the fit runs with one OpenBLAS thread
+    (``_one_blas_thread``).
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
@@ -693,6 +765,8 @@ def fit(
     ``end_factorizations`` counts the end blocks alone, one per theta
     evaluation of a field model and 0 without a field.
     """
+    if n_draws < 1:
+        raise ValueError(f"a fit needs at least one draw, not {n_draws}")
     if rng is None:
         rng = np.random.default_rng()
     spec = like.spec
@@ -718,10 +792,9 @@ def fit(
     weights /= weights.sum()
 
     counts = rng.multinomial(n_draws, weights)
-    mesh = like.mesh
     dense = np.empty((n_draws, spec.n_dense))
-    w_draws = np.empty((n_draws, mesh.grid_rows * mesh.grid_cols if n_w else 0))
     log_hyper = np.empty((n_draws, h))
+    reducer = _DrawReducer(like, n_draws, reduce)
     # every group's field normals, solved in place: one buffer for the fit
     normals = np.empty(n_w * int(counts.max()))
     pos = 0
@@ -735,19 +808,18 @@ def fit(
         z_d = rng.standard_normal((spec.n_dense, n_g))
         x_w, x_d = factor.sample(z_w, z_d)
         del factor  # before the next group builds its own
-        if n_w:
-            # the grid block of the solved draws, added straight into the
-            # draws' (grid rows, grid cols, n_g) view
-            out = w_draws[pos : pos + n_g].reshape(n_g, mesh.grid_rows, mesh.grid_cols)
-            np.add(mesh.grid_view(point.u_w)[..., None], mesh.grid_view(x_w),
-                   out=out.transpose(1, 2, 0))
-        dense[pos : pos + n_g] = (point.u_d[:, None] + x_d).T
+        x_w += point.u_w[:, None]  # the mesh-wide field draws, in place
+        d = point.u_d[:, None] + x_d
+        dense[pos : pos + n_g] = d.T
+        reducer.add(pos, d, x_w)
         pos += n_g
 
     return PosteriorDraws(
         spec=spec,
+        like=like,
         dense=dense,
-        w=w_draws,
+        field_mean=reducer.field_mean(),
+        loglik=reducer.loglik,
         log_hyper=log_hyper,
         theta_mode=mode.theta,
         diagnostics={
@@ -827,25 +899,35 @@ class DicResult:
 
 
 def compute_dic(like: GriddedLikelihood, draws: PosteriorDraws) -> DicResult:
-    """Deviance information criterion from posterior draws.
+    """Deviance information criterion of a fit to ``like``.
 
     Deviance is -2 times the Poisson count log-likelihood (constants
     included); the effective parameter count is mean deviance minus the
-    deviance at the posterior-mean effects. The log-intensity is linear in
-    the effects, so that plug-in deviance takes the eta of the mean effects,
-    which equals the mean of the eta draws up to rounding. Both run over the
-    likelihood's groups, with their count totals and exposures. The mean
-    deviance is accumulated over blocks of draws (``CellDesign.eta_blocks``),
-    so memory stays at two blocks of eta, never an (A, groups) array.
+    deviance at the posterior-mean effects. The mean deviance is read from
+    the log-likelihood of every draw, which the fit reduced as it sampled
+    (``PosteriorDraws.loglik``). The log-intensity is linear in the effects,
+    so the plug-in deviance takes the eta of the mean effects, which equals
+    the mean of the eta draws up to rounding. Both run over the likelihood's
+    groups, with their count totals and exposures. A ``ValueError`` is
+    raised when ``like``'s count totals, exposures or group count differ
+    from those of the likelihood the draws were fitted to (a fold's recount,
+    ``GriddedLikelihood.with_counts``, is another likelihood), or when the
+    draws kept no log-likelihoods (a fit given its own ``reduce``).
     """
-    groups = like.groups
+    if draws.loglik is None:
+        raise ValueError("the DIC needs the draws' log-likelihoods, which a fit given "
+                         "its own reduction does not keep")
+    fitted = draws.like
+    if like is not fitted and not (
+        np.array_equal(like.y, fitted.y) and np.array_equal(like.exposure, fitted.exposure)
+    ):
+        raise ValueError(
+            "the DIC needs the likelihood that the draws were fitted to: its "
+            f"{like.y.size} groups' count totals or exposures differ from those of "
+            f"the fit's {fitted.y.size}"
+        )
     mean = draws.mean_effects()
-    d_hat = -2.0 * like.loglik(groups.eta(mean.dense, mean.w), with_const=True)
-    loglik = np.empty(draws.n_draws)  # per draw, without the eta-free constant
-    for a, eta in groups.eta_blocks(draws.dense, draws.w):
-        dot_y = eta @ like.y
-        np.exp(eta, out=eta)
-        loglik[a] = dot_y - eta @ like.exposure
-    dbar = -2.0 * (float(np.mean(loglik)) + like.loglik_const)
+    d_hat = -2.0 * like.loglik(like.groups.eta(mean.dense, mean.w), with_const=True)
+    dbar = -2.0 * (float(np.mean(draws.loglik)) + like.loglik_const)
     p_d = dbar - d_hat
     return DicResult(dbar=dbar, d_hat=d_hat, p_d=p_d, dic=dbar + p_d)

@@ -40,12 +40,6 @@ __all__ = [
     "decompose_intensity",
 ]
 
-# Draws per block of ``CellDesign.eta_blocks``: 50 draws of 4096 groups (a
-# field model's 64 x 64 cells, each its own group) are 1.6 MB, so a block
-# stays in cache from its eta through exp to its sums.
-ETA_BLOCK_DRAWS = 50
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Which effects a model includes, plus its prior settings."""
@@ -205,34 +199,6 @@ class CellDesign:
         if self.mesh_index.size:
             out += w[..., self.cell_ids]
         return out
-
-    def eta_blocks(self, dense: np.ndarray, w: np.ndarray, rows: np.ndarray | None = None):
-        """The log-intensities of draws ``dense`` (A, n_dense) and ``w``
-        (A, grid cells), ``ETA_BLOCK_DRAWS`` draws at a time: yields (slice of
-        the draws, block of their eta). ``rows`` picks and orders the design
-        rows (all, in order, by default); the scoring passes the rows of the
-        likelihood's group design, so a block holds one column per group, or
-        per (subset, group) pair, not per cell, each reading the field at its
-        cell id. Every block is the same
-        buffer, overwritten by the next, so the caller may also overwrite it.
-        The blocks hold at most two buffers of memory, never an (A, N) array."""
-        if rows is None:
-            rows = np.arange(self.n_cells)
-        xt = np.ascontiguousarray(self.x[rows].T)
-        index = self.cell_ids[rows] if self.mesh_index.size else None
-        n_draws = dense.shape[0]
-        buf = np.empty((min(n_draws, ETA_BLOCK_DRAWS), rows.size))
-        gathered = np.empty_like(buf) if index is not None else None
-        for start in range(0, n_draws, ETA_BLOCK_DRAWS):
-            draws = slice(start, min(start + ETA_BLOCK_DRAWS, n_draws))
-            block = buf[: draws.stop - start]
-            np.matmul(dense[draws], xt, out=block)
-            if index is not None:
-                w_block = gathered[: draws.stop - start]
-                # cell ids are in range: clip skips numpy's check and its copy
-                np.take(w[draws], index, axis=1, out=w_block, mode="clip")
-                block += w_block
-            yield draws, block
 
 
 def build_design(

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pickle
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcox import crossval, inference, model
+from gridcox import crossval, inference
 from gridcox.crossval import (
     FoldAssignment,
     ResidualPairing,
@@ -30,10 +31,10 @@ from gridcox.crossval import (
 )
 from gridcox.geodata import PointPattern
 from gridcox.gmrf import LatticeMesh
-from gridcox.inference import PosteriorDraws, bin_points
+from gridcox.inference import ETA_BLOCK_DRAWS, bin_points
 from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
-from test_inference import random_draws, small_field_like
+from test_inference import cell_eta, mesh_draws, reduced_draws, small_field_like
 
 
 class TestFolds:
@@ -129,17 +130,21 @@ class TestCrps:
             crps_empirical(np.ones(3), 0.0, method="exact")
 
 
-def constant_intensity_draws(spec, lam, n_draws=3):
-    """Draws whose intensity is the constant ``lam`` in every cell."""
-    dense = np.zeros((n_draws, spec.n_dense))
-    dense[:, 0] = math.log(lam)  # the intercept; campaign effects stay 0
-    return PosteriorDraws(
-        spec=spec,
-        dense=dense,
-        w=np.zeros((n_draws, 0)),
-        log_hyper=np.zeros((n_draws, 0)),
-        theta_mode=np.zeros(0),
-    )
+def reduced_residuals(like, partitions, val, k_folds, dense, w):
+    """A fold's residuals for the draws ``dense`` and ``w`` (``mesh_draws``),
+    their subset integrals reduced as a fold's fit reduces them."""
+    pairing = ResidualPairing.build(like, partitions)
+    integrals = np.zeros((dense.shape[0], pairing.filled.size))
+    reduced_draws(like, dense, w, functools.partial(pairing.integrate, integrals))
+    return validation_residuals(integrals, pairing, subset_columns(partitions, val), k_folds)
+
+
+def constant_intensity_residuals(like, partitions, val, k_folds, lam, n_draws=3):
+    """The residuals of draws whose intensity is the constant ``lam`` in every
+    cell: the intercept log(lam), campaign effects 0, no field."""
+    dense = np.zeros((n_draws, like.spec.n_dense))
+    dense[:, 0] = math.log(lam)
+    return reduced_residuals(like, partitions, val, k_folds, dense, np.zeros((0, n_draws)))
 
 
 def constant_intensity_oracle(part, cell_area, val, lam, k_folds):
@@ -167,9 +172,7 @@ class TestValidationResiduals:
         like = bin_points(spec, stack, {1: d}, train)
         lam_train = 0.002  # fitted training intensity, constant over cells
         partitions = build_partitions({1: d}, 3, 3)
-        pairing = ResidualPairing.build(like, partitions)
-        draws = constant_intensity_draws(spec, lam_train)
-        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), k_folds)
+        resid = constant_intensity_residuals(like, partitions, val, k_folds, lam_train)
         part = partitions[1]
         assert resid.shape == (3, part.n_subsets)
         expect = constant_intensity_oracle(part, d.grid.cell_area, val, lam_train, k_folds)
@@ -193,9 +196,7 @@ class TestValidationResiduals:
         assert cols == {1: slice(0, n1), 2: slice(n1, n1 + n2)}
 
         lam_train = 0.003
-        draws = constant_intensity_draws(spec, lam_train, n_draws=4)
-        pairing = ResidualPairing.build(like, partitions)
-        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), k_folds)
+        resid = constant_intensity_residuals(like, partitions, val, k_folds, lam_train, 4)
         assert resid.shape == (4, n1 + n2)
         for t in (1, 2):
             expect = constant_intensity_oracle(
@@ -250,13 +251,13 @@ def test_fold_recount_is_bin_points_of_the_training_points(
         assert_same_likelihood(study.fold_likelihood(0, k), want)
 
 
-def membership_residuals(draws, like, partitions, val, k_folds):
-    """The residuals by the dense formula: exp of the whole (A, N) eta array,
-    times a 0/1 subset-membership matrix per campaign."""
+def membership_residuals(lam, like, partitions, val, k_folds):
+    """The residuals by the dense formula: the whole (A, N) array ``lam`` of
+    intensity draws of the cells of ``like.design``, times a 0/1
+    subset-membership matrix per campaign."""
     design = like.design
-    lam = np.exp(design.eta(draws.dense, draws.w))
     cols = subset_slices(partitions)
-    out = np.empty((draws.n_draws, max(c.stop for c in cols.values())))
+    out = np.empty((lam.shape[0], max(c.stop for c in cols.values())))
     for t, c in cols.items():
         rows, part = design.rows[t], partitions[t]
         g_of_cell = part.cell_subset.ravel()[design.cell_ids[rows]]
@@ -268,10 +269,11 @@ def membership_residuals(draws, like, partitions, val, k_folds):
     return out
 
 
-@pytest.mark.parametrize("n_draws", [3, model.ETA_BLOCK_DRAWS + 3])
+@pytest.mark.parametrize("n_draws", [3, ETA_BLOCK_DRAWS + 3])
 class TestBlockResiduals:
-    """``validation_residuals`` against the dense-membership formula, below
-    one block of draws and across a partial last block."""
+    """The residuals of draws reduced as a fit reduces them, against the
+    dense-membership formula, below one block of draws and across partial
+    blocks."""
 
     K_FOLDS = 4
 
@@ -279,12 +281,11 @@ class TestBlockResiduals:
         folds = assign_folds(pts, self.K_FOLDS, np.random.default_rng(3))
         train, val = split(pts, folds, 1)
         like = bin_points(spec, stack, doms, train, mesh=mesh)
-        draws = random_draws(spec, mesh, n_draws, seed=n_draws)
-        pairing = ResidualPairing.build(like, partitions)
-        resid = validation_residuals(
-            draws, pairing, subset_columns(partitions, val), self.K_FOLDS
+        dense, w = mesh_draws(spec, mesh, n_draws, seed=n_draws)
+        resid = reduced_residuals(like, partitions, val, self.K_FOLDS, dense, w)
+        expect = membership_residuals(
+            np.exp(cell_eta(like.design, dense, w)), like, partitions, val, self.K_FOLDS
         )
-        expect = membership_residuals(draws, like, partitions, val, self.K_FOLDS)
         assert resid.shape == expect.shape
         np.testing.assert_allclose(resid, expect, rtol=1e-12, atol=1e-12)
 
@@ -322,27 +323,26 @@ class TestBlockResiduals:
 
 
 def test_block_scoring_never_holds_an_eta_array(stack, campaign_domains, survey):
-    # a whole (A, N) array of eta would be A * N * 8 bytes; the residuals
-    # and the DIC may peak at a quarter of it
+    # a whole (A, N) array of eta would be A * N * 8 bytes; reducing 1000
+    # draws to their log-likelihoods and subset integrals, then scoring the
+    # residuals and the DIC, may peak at a quarter of it
     like = small_field_like(stack, campaign_domains)
-    draws = inference.fit(like, n_draws=1000, rng=np.random.default_rng(0))
     pts = survey.for_campaign(8)
     val = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
     partitions = build_partitions({1: campaign_domains[8]}, 3, 3)
-    bound = draws.n_draws * like.design.n_cells * 8 / 4
-    for score in (
-        lambda: validation_residuals(
-            draws, ResidualPairing.build(like, partitions), subset_columns(partitions, val), 5
-        ),
-        lambda: inference.compute_dic(like, draws),
-    ):
-        tracemalloc.start()
-        try:
-            score()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    pairing = ResidualPairing.build(like, partitions)
+    dense, w = mesh_draws(like.spec, like.mesh, 1000, seed=0)
+    bound = dense.shape[0] * like.design.n_cells * 8 / 4
+    tracemalloc.start()
+    try:
+        integrals = np.zeros((dense.shape[0], pairing.filled.size))
+        reduced_draws(like, dense, w, functools.partial(pairing.integrate, integrals))
+        validation_residuals(integrals, pairing, subset_columns(partitions, val), 5)
+        inference.compute_dic(like, reduced_draws(like, dense, w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class TestAggregation:
@@ -422,6 +422,19 @@ class TestRunStudy:
         assert set(table.dic) == {"m_depth", "m_null"}
         assert table.dic["m_depth"].dic < table.dic["m_null"].dic
         assert "mu0" in table.summaries["m_depth"].names
+
+    @pytest.mark.parametrize("n_draws", [0, -2])
+    def test_no_draws_is_refused_before_set_up(self, study_inputs, monkeypatch, n_draws):
+        stack, doms, points, specs = study_inputs
+
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("a study without draws must not set up")
+
+        monkeypatch.setattr(crossval._Study, "set_up", no_set_up)
+        monkeypatch.setattr(os, "fork", no_set_up)
+        with pytest.raises(ValueError, match="at least one draw"):
+            run_study(stack, doms, points, specs, n_folds=2, n_draws=n_draws,
+                      partition_dims=(3, 3), seed=11, workers=2)
 
     def test_fit_failure_raises_unless_recorded(self, study_inputs):
         stack, doms, points, specs = study_inputs

@@ -1,8 +1,11 @@
-"""The posterior field kept on the raster grid alone: every output that reads
-it against dense per-cell formulas on the mesh-wide draws it came from, and
-the memory a fit saves by not keeping the mesh halo, nor a copy of the grid
-block, nor a fresh array of normals per group."""
+"""The field draws reduced as a fit makes them: every output read from the
+reductions (the field's mean on the raster grid, each draw's
+log-likelihood and a fold's subset integrals) against dense per-cell
+formulas on the mesh-wide draws they came from, and the memory a fit saves
+by keeping none of its field draws, nor a fresh array of normals per
+group."""
 
+import functools
 import math
 import tracemalloc
 
@@ -10,9 +13,11 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from gridcox import crossval
 from gridcox._banded import ArrowFactor
 from gridcox.crossval import (
     ResidualPairing,
+    aggregate_crps,
     assign_folds,
     build_partitions,
     split,
@@ -21,10 +26,11 @@ from gridcox.crossval import (
 )
 from gridcox.geodata import CovariateStack, RasterGrid, habitat_domains
 from gridcox.gmrf import LatticeMesh, MaternHyper
-from gridcox.inference import PosteriorDraws, bin_points, compute_dic, fit
+from gridcox.inference import bin_points, compute_dic, fit
 from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
-from test_inference import PC, cell_counts
+from test_crossval import membership_residuals
+from test_inference import PC, cell_counts, reduced_draws
 
 K_FOLDS = 4
 
@@ -58,27 +64,30 @@ def test_grid_draws_read_as_the_mesh_draws_they_came_from(small_survey):
     design = like.design
 
     rng = np.random.default_rng(2)
-    n_draws, h = 7, len(spec.hyper_names)
+    n_draws = 7
     dense = rng.normal(0.0, 0.3, (n_draws, spec.n_dense))
     dense[:, 0] += math.log(0.02)
-    # mesh-wide draws: the field about 0 on the grid nodes and noise of sd 50
-    # on the halo, which would swamp any output that read it
-    w_mesh = rng.normal(0.0, 50.0, (n_draws, mesh.n))
-    w_mesh[:, g2m] = rng.normal(0.0, 0.5, (n_draws, g2m.size))
-    draws = PosteriorDraws(spec=spec, dense=dense, w=w_mesh[:, g2m],
-                           log_hyper=np.zeros((n_draws, h)), theta_mode=np.zeros(h))
+    # mesh-wide draws, one column per draw as a fit solves them: the field
+    # about 0 on the grid nodes and noise of sd 50 on the halo, which would
+    # swamp any output that read it
+    w_mesh = rng.normal(0.0, 50.0, (mesh.n, n_draws))
+    w_mesh[g2m] = rng.normal(0.0, 0.5, (g2m.size, n_draws))
+    draws = reduced_draws(like, dense, w_mesh)
 
-    # the linear predictor: x d + w at each cell's mesh node
-    eta = dense @ design.x.T + w_mesh[:, design.mesh_index]
-    np.testing.assert_allclose(design.eta(dense, draws.w), eta, rtol=1e-12)
-    np.testing.assert_allclose(design.eta(dense[3], draws.w[3]), eta[3], rtol=1e-12)
+    # the field's mean on the grid cells, and the linear predictor of the
+    # mean effects: x d + w at each cell's mesh node
+    np.testing.assert_allclose(draws.field_mean, w_mesh[g2m].mean(axis=1), rtol=1e-12,
+                               atol=1e-15)
+    eta = dense @ design.x.T + w_mesh[design.mesh_index].T
+    eta_mean = dense.mean(axis=0) @ design.x.T + w_mesh.mean(axis=1)[design.mesh_index]
+    mean = draws.mean_effects()
+    np.testing.assert_allclose(design.eta(mean.dense, mean.w), eta_mean, rtol=1e-12)
 
     # DIC: the mean per-cell Poisson deviance of the draws, and the deviance
     # at the mean effects
     y = cell_counts(design, stack.grid, train)
     lam = design.weight * np.exp(eta)
     dbar = -2.0 * poisson.logpmf(y, lam).sum(axis=1).mean()
-    eta_mean = dense.mean(axis=0) @ design.x.T + w_mesh.mean(axis=0)[design.mesh_index]
     d_hat = -2.0 * poisson.logpmf(y, design.weight * np.exp(eta_mean)).sum()
     res = compute_dic(like, draws)
     assert res.dbar == pytest.approx(dbar, rel=1e-12)
@@ -98,8 +107,54 @@ def test_grid_draws_read_as_the_mesh_draws_they_came_from(small_survey):
         )
         expect.append(counts - integral / (K_FOLDS - 1))
     pairing = ResidualPairing.build(like, partitions)
-    resid = validation_residuals(draws, pairing, subset_columns(partitions, val), K_FOLDS)
+    integrals = np.zeros((n_draws, pairing.filled.size))
+    reduce = functools.partial(pairing.integrate, integrals)
+    fold_draws = reduced_draws(like, dense, w_mesh, reduce)
+    assert fold_draws.loglik is None
+    np.testing.assert_array_equal(fold_draws.field_mean, draws.field_mean)
+    resid = validation_residuals(integrals, pairing, subset_columns(partitions, val), K_FOLDS)
     np.testing.assert_allclose(resid, np.hstack(expect), rtol=1e-12, atol=1e-12)
+
+
+def test_fold_scores_reduced_in_the_fit_match_its_draws(small_survey, monkeypatch):
+    # oracle: every fold fit's intensity draws, collected by a test-only
+    # reduction beside the fold's own and scored by the whole-array formula
+    # (a 0/1 subset-membership matrix per campaign), then by aggregate_crps
+    stack, doms, spec, points = small_survey
+    partitions = build_partitions(doms, 3, 3)
+    folds = assign_folds(points, K_FOLDS, np.random.default_rng(1))
+    study, failures = crossval._Study.set_up(
+        stack, doms, points, [spec], folds, n_draws=120, seed=3, partitions=partitions
+    )
+    assert failures == {}
+    monkeypatch.setattr(crossval, "_study", study)
+    fold_fit, collected = crossval.fit, []
+
+    def collecting_fit(like, *, reduce, **kwargs):
+        lam_draws = np.full((kwargs["n_draws"], like.groups.n_cells), np.nan)
+        collected.append(lam_draws)
+
+        def collect_then_reduce(draws, lam):
+            lam_draws[draws] = lam.T
+            reduce(draws, lam)
+
+        return fold_fit(like, reduce=collect_then_reduce, **kwargs)
+
+    theta = crossval._full_fit_task(0)[3]
+    monkeypatch.setattr(crossval, "fit", collecting_fit)
+    for k in range(1, K_FOLDS + 1):
+        collected.clear()
+        _, _, crps_g, mean_g, err = crossval._fold_fit_task(0, k, theta)
+        assert err is None and len(collected) == 1
+        like = study.fold_likelihood(0, k)
+        # a field model's groups are its cells, in design order
+        np.testing.assert_array_equal(like.group_of, np.arange(like.design.n_cells))
+        lam = collected[0]
+        assert lam.shape == (120, like.design.n_cells) and not np.isnan(lam).any()
+        _, val = split(points, folds, k)
+        resid = membership_residuals(lam, like, partitions, val, K_FOLDS)
+        np.testing.assert_allclose(crps_g, aggregate_crps(resid[:, None, :])[0], rtol=1e-12)
+        np.testing.assert_allclose(mean_g, resid.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_fit_keeps_no_mesh_wide_draws(small_survey):
@@ -109,21 +164,34 @@ def test_fit_keeps_no_mesh_wide_draws(small_survey):
     spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=1, pc_prior=PC)
     mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=12)
     like = bin_points(spec, stack, {1: doms[1]}, points.for_campaign(1), mesh=mesh)
-    n_draws, n_grid = 4000, stack.grid.n_cells
+    n_draws = 4000
     tracemalloc.start()
     try:
         draws = fit(like, n_draws=n_draws, rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Bound: one (A, mesh.n) float64 array plus the (A, grid) draws, 46.1 MB.
-    # Draws kept on the whole mesh take 41.5 MB alone; with the normals and
-    # the solved block of the largest sampling group (about 1700 draws) such
-    # a fit peaks at 76.9 MB, 67% above the bound. Kept on the grid (4.6 MB),
-    # the fit peaks at 25.1 MB, 46% below it.
-    bound = 8 * n_draws * (mesh.n + n_grid)
-    assert peak < bound
-    assert draws.w.shape == (n_draws, n_grid)
+    n_g = largest_group(draws)
+    # Bound: the largest group's (mesh.n, n_g) normals, one full-lattice band
+    # of the factor and the latent mode cached at each of the 33 theta
+    # evaluations, 18.0 MB, plus the slack of
+    # test_fit_samples_through_one_normals_buffer, 1.8 MB: 19.8 MB in all.
+    # The (A, grid) draws (4.6 MB) are not in it: a fit that keeps them
+    # peaks at 24.0 MB, 4.2 MB over the bound; draws kept on
+    # the whole mesh take 41.5 MB alone. Reducing the draws as it makes them,
+    # the fit peaks at 19.4 MB.
+    bound = 8 * mesh.n * (n_g + mesh.bandwidth + 1 + draws.diagnostics["n_evals"])
+    slack = 8 * n_g * (mesh.bandwidth + 64)
+    assert peak < bound + slack
+    assert draws.field_mean.shape == (stack.grid.n_cells,)
+    assert draws.loglik.shape == (n_draws,)
+
+
+def largest_group(draws) -> int:
+    """The most draws made at one theta grid point: a draw's jitter is under
+    half a grid step on every axis."""
+    offsets = np.round((draws.log_hyper - draws.theta_mode) / draws.diagnostics["grid_delta"])
+    return int(np.unique(offsets, axis=0, return_counts=True)[1].max())
 
 
 def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
@@ -134,7 +202,7 @@ def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
     spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=1, pc_prior=PC)
     mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2)
     like = bin_points(spec, stack, {1: doms[1]}, points.for_campaign(1), mesh=mesh)
-    n_draws, n_grid = 4000, stack.grid.n_cells
+    n_draws = 4000
 
     normals, in_place = [], []
     sample = ArrowFactor.sample
@@ -159,18 +227,16 @@ def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
     assert all(in_place)
     assert all(np.shares_memory(z, normals[0]) for z in normals)
 
-    # the theta grid point each draw came from: its jitter is under half a
-    # grid step on every axis
-    offsets = np.round((draws.log_hyper - draws.theta_mode) / draws.diagnostics["grid_delta"])
-    n_g = np.unique(offsets, axis=0, return_counts=True)[1].max()
-    # Bound: the (A, grid) draws, one full-lattice band of the factor and the
-    # largest group's (mesh.n, n_g) normals, 8.0 MB, plus a slack of
-    # (bandwidth + 64) doubles per draw of that group, 1.3 MB: the
-    # back-substitution's (n_g, bandwidth) block product and the small
-    # per-draw arrays (theta jitter, dense normals and solves, dense and
-    # theta draws). A (grid cells, n_g) copy of the solved block adds 1.9 MB
-    # (n_g 1639) and took the peak to 10.4 MB, 0.9 MB over the bound; the
-    # fit peaks at 8.8 MB.
-    bound = 8 * (n_draws * n_grid + (mesh.bandwidth + 1) * mesh.n + mesh.n * n_g)
+    n_g = largest_group(draws)
+    # Bound: one full-lattice band of the factor and the largest group's
+    # (mesh.n, n_g) normals, 3.4 MB, plus a slack of (bandwidth + 64)
+    # doubles per draw of that group, 1.3 MB: the back-substitution's (n_g,
+    # bandwidth) block product and the small arrays of the fit (theta
+    # jitter, dense normals and solves, dense, theta and log-likelihood
+    # draws, cached theta modes). A fit that keeps the (A, grid) draws (4.6
+    # MB) peaks at 8.8 MB, 4.1 MB over the bound; one that also copied each
+    # group's (grid cells, n_g) solved block peaked at 10.4 MB. Reducing the
+    # draws as it makes them, the fit peaks at 4.2 MB.
+    bound = 8 * ((mesh.bandwidth + 1) * mesh.n + mesh.n * n_g)
     slack = 8 * n_g * (mesh.bandwidth + 64)
     assert peak < bound + slack

@@ -8,22 +8,15 @@ import pytest
 from scipy.stats import poisson
 
 from gridcox import inference
-from gridcox.crossval import (
-    ResidualPairing,
-    assign_folds,
-    build_partitions,
-    split,
-    subset_columns,
-    validation_residuals,
-)
+from gridcox.crossval import assign_folds, build_partitions, split
 from gridcox.geodata import CovariateStack, PointPattern, RasterGrid, habitat_domains
 from gridcox.gmrf import LatticeMesh, MaternHyper
-from gridcox.inference import bin_points, compute_dic
-from gridcox.model import ETA_BLOCK_DRAWS, ModelSpec
+from gridcox.inference import ETA_BLOCK_DRAWS, bin_points, compute_dic
+from gridcox.model import ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
 from test_banded import band_to_dense
-from test_crossval import membership_residuals
-from test_inference import PC, cell_counts, random_draws, whole_array_dic
+from test_crossval import membership_residuals, reduced_residuals
+from test_inference import PC, cell_counts, cell_eta, mesh_draws, reduced_draws, whole_array_dic
 
 K_FOLDS = 5
 
@@ -149,9 +142,9 @@ class TestGroupedAgainstCells:
     @pytest.mark.parametrize("n_draws", [3, ETA_BLOCK_DRAWS + 3])
     def test_dic(self, grouped, n_draws):
         like, y, *_ = grouped
-        draws = random_draws(like.spec, like.mesh, n_draws, seed=n_draws)
-        res = compute_dic(like, draws)
-        dbar, d_hat = whole_array_dic(like.design, y, draws)
+        dense, w = mesh_draws(like.spec, like.mesh, n_draws, seed=n_draws)
+        res = compute_dic(like, reduced_draws(like, dense, w))
+        dbar, d_hat = whole_array_dic(like.design, y, cell_eta(like.design, dense, w))
         assert res.dbar == pytest.approx(dbar, rel=1e-12)
         assert res.d_hat == pytest.approx(d_hat, rel=1e-12)
         assert res.dic == pytest.approx(2.0 * dbar - d_hat, rel=1e-12)
@@ -159,10 +152,11 @@ class TestGroupedAgainstCells:
     @pytest.mark.parametrize("n_draws", [3, ETA_BLOCK_DRAWS + 3])
     def test_validation_residuals(self, grouped, n_draws):
         like, _, partitions, val = grouped
-        draws = random_draws(like.spec, like.mesh, n_draws, seed=n_draws)
-        pairing = ResidualPairing.build(like, partitions)
-        resid = validation_residuals(draws, pairing, subset_columns(partitions, val), K_FOLDS)
-        expect = membership_residuals(draws, like, partitions, val, K_FOLDS)
+        dense, w = mesh_draws(like.spec, like.mesh, n_draws, seed=n_draws)
+        resid = reduced_residuals(like, partitions, val, K_FOLDS, dense, w)
+        expect = membership_residuals(
+            np.exp(cell_eta(like.design, dense, w)), like, partitions, val, K_FOLDS
+        )
         np.testing.assert_allclose(resid, expect, rtol=1e-12, atol=1e-12)
 
 

@@ -9,6 +9,7 @@ from gridcox.geodata import PointPattern
 from gridcox.gmrf import LatticeMesh, MaternHyper, PcPriorSpec
 from gridcox import _banded, inference
 from gridcox.inference import (
+    ETA_BLOCK_DRAWS,
     FitError,
     PosteriorDraws,
     _gamma_logpdf,
@@ -18,7 +19,7 @@ from gridcox.inference import (
     inner_objective_grad,
     summarize,
 )
-from gridcox.model import ETA_BLOCK_DRAWS, CellDesign, ModelSpec
+from gridcox.model import CellDesign, ModelSpec
 from gridcox.simulate import Scenario, simulate_lgcp
 from test_banded import band_to_dense
 
@@ -222,7 +223,8 @@ class TestGlmFits:
         assert draws.diagnostics["grid_points"] == 1
         assert draws.diagnostics["n_evals"] == 1
         assert draws.theta_mode.shape == (0,)
-        assert draws.w.shape == (n_draws, 0) and draws.log_hyper.shape == (n_draws, 0)
+        assert draws.field_mean.shape == (0,) and draws.log_hyper.shape == (n_draws, 0)
+        assert draws.loglik.shape == (n_draws,)
 
         alpha, n_cells, y_total = like.design.weight, like.design.n_cells, like.y.sum()
         mode = brentq(
@@ -316,7 +318,7 @@ class TestFieldFit:
         scn, survey, like, draws = field_fit
         idx = like.design.cell_ids
         truth = survey.effects.w[idx]
-        post = draws.w.mean(axis=0)[idx]
+        post = draws.field_mean[idx]
         corr = np.corrcoef(truth, post)[0, 1]
         assert corr > 0.5
 
@@ -669,30 +671,61 @@ class TestEndElimination:
             inner._newton_factor(inner.at(u_w, u_d).mean)
 
 
-def random_draws(spec, mesh, n_draws, seed):
-    """Effect draws whose intensity is near the surveys': the intercept
-    about log(0.002) per m^2, every other effect and the field around 0. The
-    field is drawn on the grid cells of ``mesh``."""
+def mesh_draws(spec, mesh, n_draws, seed):
+    """Synthetic draws in the layout a fit solves them in: (dense (A,
+    n_dense), field (mesh nodes, A)), one column of the field per draw. The
+    intensity is near the surveys': the intercept about log(0.002) per m^2,
+    every other effect and the field on the grid cells of ``mesh`` around 0.
+    The field has noise of sd 50 on the mesh halo, which would swamp any
+    output that read it. Without a mesh the field is (0, A)."""
     rng = np.random.default_rng(seed)
     dense = rng.normal(0.0, 0.3, (n_draws, spec.n_dense))
     dense[:, 0] += math.log(0.002)
-    h = len(spec.hyper_names)
+    if mesh is None:
+        return dense, np.zeros((0, n_draws))
+    w = rng.normal(0.0, 50.0, (mesh.n, n_draws))
+    w[mesh.grid_to_mesh] = rng.normal(0.0, 0.5, (mesh.grid_to_mesh.size, n_draws))
+    return dense, w
+
+
+def reduced_draws(like, dense, w, reduce=None):
+    """``PosteriorDraws`` of the draws ``dense`` and ``w`` (``mesh_draws``) as
+    a fit to ``like`` reduces them, ``reduce`` being the fit's keyword. They
+    are fed in two parts, as a fit feeds two θ grid points, the first part
+    one draw past a block."""
+    n = dense.shape[0]
+    reducer = inference._DrawReducer(like, n, reduce)
+    cut = min(n, ETA_BLOCK_DRAWS + 1)
+    for part in (slice(0, cut), slice(cut, n)):
+        reducer.add(part.start, dense[part].T, w[:, part])
+    h = len(like.spec.hyper_names)
     return PosteriorDraws(
-        spec=spec,
+        spec=like.spec,
+        like=like,
         dense=dense,
-        w=rng.normal(0.0, 0.5, (n_draws, mesh.grid_to_mesh.size if mesh is not None else 0)),
-        log_hyper=np.zeros((n_draws, h)),
+        field_mean=reducer.field_mean(),
+        loglik=reducer.loglik,
+        log_hyper=np.zeros((n, h)),
         theta_mode=np.zeros(h),
     )
 
 
-def whole_array_dic(design, y, draws):
-    """(dbar, d_hat) from the whole (A, N) eta array of the cells of
+def cell_eta(design, dense, w):
+    """(A, N) log-intensities of the cells of ``design`` under the draws
+    ``dense`` and ``w`` (``mesh_draws``): x d plus the field at each cell's
+    mesh node."""
+    eta = dense @ design.x.T
+    if design.mesh_index.size:
+        eta += w[design.mesh_index].T
+    return eta
+
+
+def whole_array_dic(design, y, eta):
+    """(dbar, d_hat) from the whole (A, N) ``eta`` array of the cells of
     ``design``, whose counts are ``y``: the mean Poisson deviance of its
     rows, and the deviance at its mean row."""
     from scipy.stats import poisson
 
-    eta = design.eta(draws.dense, draws.w)
     dbar = -2.0 * poisson.logpmf(y, design.weight * np.exp(eta)).sum(axis=1).mean()
     d_hat = -2.0 * poisson.logpmf(y, design.weight * np.exp(eta.mean(axis=0))).sum()
     return dbar, d_hat
@@ -744,10 +777,10 @@ class TestDic:
         pts = PointPattern(pts.x, pts.y, np.select([pts.campaign == 6, pts.campaign == 8], [2, 3], 1))
         mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0) if with_field else None
         like = bin_points(spec, stack, doms, pts, mesh=mesh)
-        draws = random_draws(spec, mesh, 2 * ETA_BLOCK_DRAWS + 3, seed=4)
-        res = compute_dic(like, draws)
+        dense, w = mesh_draws(spec, mesh, 2 * ETA_BLOCK_DRAWS + 3, seed=4)
+        res = compute_dic(like, reduced_draws(like, dense, w))
         y = cell_counts(like.design, stack.grid, pts)
-        dbar, d_hat = whole_array_dic(like.design, y, draws)
+        dbar, d_hat = whole_array_dic(like.design, y, cell_eta(like.design, dense, w))
         assert res.dbar == pytest.approx(dbar, rel=1e-12)
         assert res.d_hat == pytest.approx(d_hat, rel=1e-12)
         assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-12 * abs(dbar))
@@ -784,6 +817,33 @@ class TestDic:
         assert res.p_d == pytest.approx(dbar - d_hat, abs=1e-6)
         assert res.dic == pytest.approx(2.0 * dbar - d_hat, rel=1e-10)
 
+    def test_needs_the_fitted_likelihood(self, stack, campaign_domains, survey):
+        # the draws' log-likelihoods were reduced under the fitted counts: a
+        # fold's recount on the same groups, or another grouping, is refused
+        spec = glm_spec(covariates=("depth",), campaigns=9)
+        like = bin_points(spec, stack, campaign_domains, survey)
+        draws = fit(like, n_draws=40, rng=np.random.default_rng(13))
+        train = like.design.rows_of_points(stack.grid, survey)[survey.x < 150.0]
+        fold = like.with_counts(np.bincount(train, minlength=like.design.n_cells))
+        assert fold.y.shape == like.y.shape and not np.array_equal(fold.y, like.y)
+        other = bin_points(glm_spec(campaigns=9), stack, campaign_domains, survey)
+        assert other.y.size != like.y.size
+        for wrong in (fold, other):
+            with pytest.raises(ValueError, match="fitted to"):
+                compute_dic(wrong, draws)
+        with pytest.raises(ValueError, match="fitted to"):
+            compute_dic(like, fit(fold, n_draws=40, rng=np.random.default_rng(13)))
+        # a fit given its own reduction keeps no log-likelihoods
+        fold_draws = fit(fold, n_draws=40, rng=np.random.default_rng(13),
+                         reduce=lambda draws, lam: None)
+        assert fold_draws.loglik is None
+        with pytest.raises(ValueError, match="log-likelihoods"):
+            compute_dic(fold, fold_draws)
+        # the same counts binned again are the fitted likelihood
+        again = bin_points(spec, stack, campaign_domains, survey)
+        assert again is not like
+        assert compute_dic(again, draws) == compute_dic(like, draws)
+
 
 class TestCountLoglik:
     def test_matches_scipy_poisson(self, stack, campaign_domains, survey):
@@ -813,6 +873,20 @@ class TestFailureModes:
     def two_campaign_survey(self, survey, t1, t2):
         pts = survey.take(np.isin(survey.campaign, [t1, t2]))
         return PointPattern(pts.x, pts.y, np.where(pts.campaign == t2, 2, 1))
+
+    @pytest.mark.parametrize("with_field", [False, True])
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_no_draws_is_an_error(self, stack, campaign_domains, survey, with_field, n_draws):
+        # a fit without draws has no mean to keep: it is refused up front,
+        # before any theta evaluation
+        d = campaign_domains[8]
+        spec = ModelSpec(include_poceanica=True, include_field=with_field, pc_prior=PC)
+        pts = survey.for_campaign(8)
+        pts = PointPattern(pts.x, pts.y, np.ones(pts.n, dtype=int))
+        mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2) if with_field else None
+        like = bin_points(spec, stack, {1: d}, pts, mesh=mesh)
+        with pytest.raises(ValueError, match="at least one draw"):
+            fit(like, n_draws=n_draws, rng=np.random.default_rng(0))
 
     def test_theta_budget_exhaustion_is_fit_error(
         self, stack, campaign_domains, survey, monkeypatch

@@ -9,11 +9,10 @@ and builds each replicate's inputs with ``perfbench/workloads.py``'s
 diffing the output compares them. One line per output:
 
 ``field_fit_96``
-    the fit's ``dense``, ``w`` and ``log_hyper`` draws, the summary, the DIC
-    and the diagnostics. ``w`` is digested on the grid cells: draws kept on
-    the whole mesh, halo included, are first read at ``mesh.grid_to_mesh``,
-    so a checkout that keeps them mesh-wide and one that keeps them on the
-    grid give the same digest when the values agree;
+    the fit's ``dense`` and ``log_hyper`` draws, the field's mean on the
+    grid cells (``field_mean``) and each draw's log-likelihood (``loglik``),
+    which the fit reduces its field draws to, the summary, the DIC and the
+    diagnostics;
 ``glm_study_64``
     the ``run_study`` table's ``scores``, ``by_subset``, ``mean_residual``,
     DIC, posterior ``summaries`` of the full fits and ``failures``;
@@ -76,16 +75,16 @@ def digest(obj) -> str:
 
 
 def field_fit(workload, inp: dict) -> dict:
-    """The fit of ``FieldFit96.operate``, keeping the draws."""
+    """The fit of ``FieldFit96.operate``, keeping what it keeps of the draws."""
     stack = inp["stack"]
     mesh = LatticeMesh.for_grid(stack.grid, rho_ref=workload.RHO)
     like = inference.bin_points(inp["spec"], stack, inp["domains"], inp["points"], mesh=mesh)
     post = inference.fit(like, n_draws=800, rng=derive_rng(7, "ac5-fit", inp["entry"]))
     summ = inference.summarize(post)
-    w = post.w[:, mesh.grid_to_mesh] if post.w.shape[1] == mesh.n else post.w
     return {
         "dense": post.dense,
-        "w": w,
+        "field_mean": post.field_mean,
+        "loglik": post.loglik,
         "log_hyper": post.log_hyper,
         "summary": vars(summ),
         "dic": vars(inference.compute_dic(like, post)),
