@@ -179,8 +179,11 @@ class ArrowFactor:
         """Map standard normals to draws from N(0, Q^{-1}): solve U x = z.
 
         Columns are draws. A C-ordered ``z_w`` is overwritten by ``x_w``.
+        ``x_d`` comes from ``dtrsm``, whose columns do not depend on how
+        many are solved at once (a one-column ``np.linalg.solve`` rounds
+        otherwise), so a draw is the same in any block of draws.
         """
-        x_d = np.linalg.solve(self.ls.T, z_d)
+        x_d = dtrsm(1.0, self.ls, z_d, lower=1, trans_a=1)
         xt = np.asfortranarray(z_w.T)  # z_w's own memory when z_w is C-ordered
         dgemm(-1.0, x_d.T, self.x, beta=1.0, c=xt, trans_b=1, overwrite_c=1)
         self.rw.solve_r_many(xt)

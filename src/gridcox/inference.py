@@ -29,17 +29,19 @@ a small axis-aligned grid around their posterior mode, spaced so the three
 points per axis straddle roughly the central 90% of the Gaussian profile;
 posterior draws pick a grid point by weight, add within-cell jitter on theta,
 and draw the latent vector from the Gaussian approximation at that point. The
-field is drawn on the whole mesh and never kept: every grid point fills a
-view of one buffer of standard normals and solves its draws in place there,
-and the fit reduces them at once (``_DrawReducer``) to what the pipeline
-reads. It keeps the field's mean on the raster grid's cells and, from the
-groups' intensities, ``ETA_BLOCK_DRAWS`` draws at a time, each draw's
-Poisson log-likelihood for the DIC; a caller's reduction takes the place of
-the latter, as a cross-validation fold's integrates the intensities over its
-subsets. Besides the dense
-and theta draws, sampling holds one whole-lattice factor, the largest grid
-point's normals and one block of intensities, never an array of every
-cell's draws.
+field is drawn on the whole mesh and never kept: a grid point's draws are
+made in column blocks of at most bandwidth + 1 draws (``_block_normals``),
+each block fills a view of one buffer of standard normals and is solved in
+place there, and the fit reduces it at once (``_DrawReducer``) to what the
+pipeline reads. A grid point of more blocks redraws its normals from the
+generator's saved state for each, so every draw gets the normals it would
+get in one block. The fit keeps the field's mean on the raster grid's cells
+and, from the groups' intensities, ``ETA_BLOCK_DRAWS`` draws at a time,
+each draw's Poisson log-likelihood for the DIC; a caller's reduction takes
+the place of the latter, as a cross-validation fold's integrates the
+intensities over its subsets. Besides the dense and theta draws, sampling
+holds one whole-lattice factor, one block's normals, no larger than that
+factor, and one block of intensities, never an array of every cell's draws.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg.blas import dtrsm
 
 from . import _banded
 from .geodata import CovariateStack, DomainMask, PointPattern
@@ -89,7 +91,7 @@ class FitError(RuntimeError):
 
 
 def _gamma_logpdf(x: float, shape: float, rate: float) -> float:
-    return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
+    return shape * math.log(rate) - math.lgamma(shape) + (shape - 1.0) * math.log(x) - rate * x
 
 
 @functools.cache
@@ -257,12 +259,20 @@ class GriddedLikelihood:
         return total + self.loglik_const if with_const else total
 
 
+def _log_factorials(y: np.ndarray) -> np.ndarray:
+    """log(y!) of every count in ``y``, read from a table of ``math.lgamma``
+    up to the largest count."""
+    counts = np.asarray(y, dtype=np.intp)
+    table = np.array([math.lgamma(k + 1.0) for k in range(int(counts.max(initial=0)) + 1)])
+    return table[counts]
+
+
 def _counted(group_of: np.ndarray, n_groups: int, weight: float, y: np.ndarray) -> dict:
     """The count fields of a ``GriddedLikelihood`` from cell counts ``y``:
     each group's count total, and the eta-free terms summed over the cells."""
     return dict(
         y=np.bincount(group_of, weights=y, minlength=n_groups),
-        loglik_const=float(y.sum() * math.log(weight) - gammaln(y + 1.0).sum()),
+        loglik_const=float(y.sum() * math.log(weight) - _log_factorials(y).sum()),
     )
 
 
@@ -322,7 +332,7 @@ class _DenseFactor:
         return np.zeros(0), np.linalg.solve(self.ls.T, y)
 
     def sample(self, z_w, z_d):
-        return z_w, np.linalg.solve(self.ls.T, z_d)
+        return z_w, dtrsm(1.0, self.ls, z_d, lower=1, trans_a=1)  # as ArrowFactor.sample
 
 
 @dataclass
@@ -719,6 +729,51 @@ class _DrawReducer:
         return self.field_sum.ravel() / self.n_draws
 
 
+def _block_width(like: GriddedLikelihood, n_draws: int) -> int:
+    """Most draws that ``fit`` samples at once: bandwidth + 1 with a field, so
+    that a block's (mesh nodes, draws) normals are no larger than the
+    whole-lattice factor they are solved against, and all ``n_draws``
+    without one."""
+    return like.mesh.bandwidth + 1 if like.n_mesh else n_draws
+
+
+def _block_normals(rng: np.random.Generator, normals: np.ndarray, n_w: int, n_dense: int,
+                   n_g: int, width: int):
+    """Yield the standard normals (z_w, z_d) of one grid point's ``n_g``
+    draws, ``width`` draws (columns) at a time, each block's field normals a
+    C-ordered view of ``normals``.
+
+    Every draw gets the normals it would get from one (n_w, n_g) array drawn
+    whole, then one (n_dense, n_g) array. A grid point of more than ``width``
+    draws saves the generator's state first: the first block draws the
+    whole field stream, row-major in chunks of about width² normals, and
+    keeps its own columns, then draws the dense normals; each later block
+    restores the saved state and draws the field stream again. The
+    generator then leaves at the state after the dense normals.
+    """
+    if n_g <= width:
+        z_w = rng.standard_normal(out=normals[: n_w * n_g].reshape(n_w, n_g))
+        yield z_w, rng.standard_normal((n_dense, n_g))
+        return
+    start = rng.bit_generator.state
+    rows = max(1, width * width // n_g)
+    scratch = np.empty(rows * n_g)
+    for c0 in range(0, n_g, width):
+        c1 = min(c0 + width, n_g)
+        if c0:
+            rng.bit_generator.state = start
+        z_w = normals[: n_w * (c1 - c0)].reshape(n_w, c1 - c0)
+        for r0 in range(0, n_w, rows):
+            r1 = min(r0 + rows, n_w)
+            chunk = rng.standard_normal(out=scratch[: (r1 - r0) * n_g].reshape(r1 - r0, n_g))
+            z_w[r0:r1] = chunk[:, c0:c1]
+        if not c0:
+            z_d = rng.standard_normal((n_dense, n_g))
+            end = rng.bit_generator.state
+        yield z_w, z_d[:, c0:c1]
+    rng.bit_generator.state = end
+
+
 def _default_theta0(spec: ModelSpec) -> np.ndarray:
     parts = []
     if spec.include_field:
@@ -752,10 +807,15 @@ def fit(
 
     Sampling's memory is the dense and theta draws, one whole-lattice factor
     at a time (each grid point's factor is freed once its draws are solved),
-    one buffer of (mesh nodes, n_g) standard normals for the largest grid
-    point's n_g draws, which every grid point fills and solves in place, and
-    one block of intensities. On Linux the fit runs with one OpenBLAS thread
-    (``_one_blas_thread``).
+    one buffer of (mesh nodes, b) standard normals, which every block of b
+    draws fills and solves in place, and one block of intensities. A block
+    has at most bandwidth + 1 draws (``_block_width``), so its normals are
+    no larger than the factor; a grid point of n_g draws is sampled in
+    ceil(n_g / b) blocks, each of them one pass of the generator over the
+    point's field normals (``_block_normals``), and the draws, and the
+    generator's state after the fit, are those of one block per grid point.
+    A field-free model samples each grid point in one block. On Linux the
+    fit runs with one OpenBLAS thread (``_one_blas_thread``).
 
     ``diagnostics`` records the curvature sd of each theta axis
     (``axis_sd_raw``), the grid's sd after the ``AXIS_SD_CLIP`` bounds
@@ -763,7 +823,11 @@ def fit(
     (``axis_clipped``). ``factorizations`` counts the banded factors built:
     Newton's, the end blocks and those for sampling at the grid points.
     ``end_factorizations`` counts the end blocks alone, one per theta
-    evaluation of a field model and 0 without a field.
+    evaluation of a field model and 0 without a field. ``grid_weights``
+    holds the normalized weights of the 3^h grid points, ``grid_counts``
+    the draws made at each and ``normal_passes`` the generator's passes over
+    field normals, the sum of ceil(n_g / b) over the grid points (0 without
+    a field).
     """
     if n_draws < 1:
         raise ValueError(f"a fit needs at least one draw, not {n_draws}")
@@ -795,8 +859,9 @@ def fit(
     dense = np.empty((n_draws, spec.n_dense))
     log_hyper = np.empty((n_draws, h))
     reducer = _DrawReducer(like, n_draws, reduce)
-    # every group's field normals, solved in place: one buffer for the fit
-    normals = np.empty(n_w * int(counts.max()))
+    width = _block_width(like, n_draws)
+    # every block's field normals, solved in place: one buffer for the fit
+    normals = np.empty(n_w * min(int(counts.max()), width))
     pos = 0
     for g in np.flatnonzero(counts):
         point = points[g]
@@ -804,15 +869,14 @@ def fit(
         factor = explorer.factor_at(point)
         jitter = rng.uniform(-0.5, 0.5, size=(n_g, h)) * delta
         log_hyper[pos : pos + n_g] = point.theta + jitter
-        z_w = rng.standard_normal(out=normals[: n_w * n_g].reshape(n_w, n_g))
-        z_d = rng.standard_normal((spec.n_dense, n_g))
-        x_w, x_d = factor.sample(z_w, z_d)
+        for z_w, z_d in _block_normals(rng, normals, n_w, spec.n_dense, n_g, width):
+            x_w, x_d = factor.sample(z_w, z_d)
+            x_w += point.u_w[:, None]  # the mesh-wide field draws, in place
+            d = point.u_d[:, None] + x_d
+            dense[pos : pos + d.shape[1]] = d.T
+            reducer.add(pos, d, x_w)
+            pos += d.shape[1]
         del factor  # before the next group builds its own
-        x_w += point.u_w[:, None]  # the mesh-wide field draws, in place
-        d = point.u_d[:, None] + x_d
-        dense[pos : pos + n_g] = d.T
-        reducer.add(pos, d, x_w)
-        pos += n_g
 
     return PosteriorDraws(
         spec=spec,
@@ -828,6 +892,9 @@ def fit(
             "factorizations": explorer.factorizations,
             "end_factorizations": explorer.end_factorizations,
             "grid_points": len(points),
+            "grid_weights": weights,
+            "grid_counts": counts,
+            "normal_passes": int(np.ceil(counts / width).sum()) if n_w else 0,
             "grid_delta": delta,
             "axis_sd": sd,
             "axis_sd_raw": raw_sd,

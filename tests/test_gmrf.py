@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from gridcox import _banded
+from gridcox import _banded, gmrf
 from gridcox.gmrf import (
     LatticeMesh,
     MaternHyper,
@@ -288,6 +288,17 @@ def test_variance_factor_matches_quadrature(kappa_dx, aspect):
     kappa, dy = kappa_dx / dx, aspect * dx
     ref = quad_variance_factor(kappa, dx, dy)
     assert lattice_variance_factor(kappa, dx, dy) == pytest.approx(ref, rel=1e-11)
+
+
+def test_agm_elliptic_integral_matches_scipy():
+    # oracle: scipy.special.ellipe over m in [0, 1], finely near m = 1, where
+    # K diverges and the AGM sum cancels against 1, and at E(1) = 1
+    from scipy.special import ellipe
+
+    m = np.r_[np.linspace(0.0, 1.0, 2001), 1.0 - np.logspace(-16, -1, 61), 1e-300, 1e-9]
+    got = np.array([gmrf._ellipe(v) for v in m])
+    np.testing.assert_allclose(got, ellipe(m), rtol=1e-14)
+    assert gmrf._ellipe(1.0) == 1.0 and gmrf._ellipe(0.0) == pytest.approx(math.pi / 2, rel=1e-16)
 
 
 @pytest.mark.parametrize("kappa_dx", [1e-6, 1e-4, 1e-2, 1.0, 100.0])

@@ -1,9 +1,10 @@
 """The field draws reduced as a fit makes them: every output read from the
 reductions (the field's mean on the raster grid, each draw's
 log-likelihood and a fold's subset integrals) against dense per-cell
-formulas on the mesh-wide draws they came from, and the memory a fit saves
-by keeping none of its field draws, nor a fresh array of normals per
-group."""
+formulas on the mesh-wide draws they came from; the draws a fit makes in
+column blocks against those it makes a grid point at a time; and the memory
+a fit saves by keeping none of its field draws, nor a fresh array of
+normals per group, nor more than a block's normals."""
 
 import functools
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from gridcox import crossval
+from gridcox import crossval, inference
 from gridcox._banded import ArrowFactor
 from gridcox.crossval import (
     ResidualPairing,
@@ -157,6 +158,51 @@ def test_fold_scores_reduced_in_the_fit_match_its_draws(small_survey, monkeypatc
         np.testing.assert_allclose(mean_g, resid.mean(axis=0), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 7, None], ids=["1", "7", "default"])
+def test_sampling_in_blocks_keeps_the_draws(small_survey, monkeypatch, width):
+    # oracle: the same fit with every grid point sampled in one block, the
+    # way a fit sampled before it capped its blocks at bandwidth + 1 draws
+    stack, doms, _, points = small_survey
+    spec = ModelSpec(include_poceanica=True, include_field=True, n_campaigns=1, pc_prior=PC)
+    mesh = LatticeMesh.for_grid(stack.grid, rho_ref=PC.rho0, halo=2)
+    like = bin_points(spec, stack, {1: doms[1]}, points.for_campaign(1), mesh=mesh)
+    pairing = ResidualPairing.build(like, build_partitions({1: doms[1]}, 3, 3))
+    n_draws = 1000
+
+    def sampled(block_width):
+        monkeypatch.setattr(inference, "_block_width", block_width)
+        out = []
+        for fold in (False, True):
+            rng = np.random.default_rng(3)
+            integrals = np.zeros((n_draws, pairing.filled.size))
+            reduce = functools.partial(pairing.integrate, integrals) if fold else None
+            draws = fit(like, n_draws=n_draws, rng=rng, reduce=reduce)
+            out.append((draws, integrals, rng.random()))
+        return out
+
+    default = inference._block_width
+    whole = sampled(lambda like, n: n)
+    blocked = sampled(default if width is None else (lambda like, n: width))
+    counts = whole[0][0].diagnostics["grid_counts"]
+    size = mesh.bandwidth + 1 if width is None else width
+    assert whole[0][0].diagnostics["normal_passes"] == np.count_nonzero(counts) == 9
+    assert counts.max() > size  # the largest grid point splits
+    for (ref, ref_integrals, ref_next), (got, integrals, after) in zip(whole, blocked):
+        np.testing.assert_array_equal(got.diagnostics["grid_counts"], counts)
+        assert got.diagnostics["normal_passes"] == sum(math.ceil(n / size) for n in counts)
+        np.testing.assert_array_equal(got.log_hyper, ref.log_hyper)
+        np.testing.assert_array_equal(got.dense, ref.dense)
+        # the reductions sum the same field draws in other blocks
+        np.testing.assert_allclose(got.field_mean, ref.field_mean, rtol=1e-13, atol=1e-15)
+        if ref.loglik is None:
+            assert got.loglik is None
+        else:
+            np.testing.assert_allclose(got.loglik, ref.loglik, rtol=1e-13)
+        np.testing.assert_allclose(integrals, ref_integrals, rtol=1e-13)
+        # the generator leaves the fit where it would after one block per point
+        assert after == ref_next
+
+
 def test_fit_keeps_no_mesh_wide_draws(small_survey):
     # a one-campaign field model (9 theta grid points) with a wide halo: the
     # 36 x 36 mesh has 1296 nodes around the 144 grid cells
@@ -171,27 +217,22 @@ def test_fit_keeps_no_mesh_wide_draws(small_survey):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_g = largest_group(draws)
-    # Bound: the largest group's (mesh.n, n_g) normals, one full-lattice band
-    # of the factor and the latent mode cached at each of the 33 theta
-    # evaluations, 18.0 MB, plus the slack of
-    # test_fit_samples_through_one_normals_buffer, 1.8 MB: 19.8 MB in all.
-    # The (A, grid) draws (4.6 MB) are not in it: a fit that keeps them
-    # peaks at 24.0 MB, 4.2 MB over the bound; draws kept on
-    # the whole mesh take 41.5 MB alone. Reducing the draws as it makes them,
-    # the fit peaks at 19.4 MB.
-    bound = 8 * mesh.n * (n_g + mesh.bandwidth + 1 + draws.diagnostics["n_evals"])
+    n_g = int(draws.diagnostics["grid_counts"].max())
+    # Bound: one block's (mesh.n, min(n_g, bandwidth + 1)) normals, one
+    # full-lattice band of the factor and the latent mode cached at each of
+    # the 33 theta evaluations, 1.9 MB, plus the slack of
+    # test_fit_samples_through_one_normals_buffer, 1.8 MB: 3.6 MB in all.
+    # The largest group's (mesh.n, n_g) normals (n_g = 1631, 16.9 MB) are
+    # not in it: a fit that samples a grid point in one block peaks at 19.4
+    # MB; one that also kept the (A, grid) draws (4.6 MB) at 24.0 MB; draws
+    # kept on the whole mesh take 41.5 MB alone. Sampling in blocks of
+    # bandwidth + 1 draws, the fit peaks at 2.4 MB.
+    n_block = min(n_g, mesh.bandwidth + 1)
+    bound = 8 * mesh.n * (n_block + mesh.bandwidth + 1 + draws.diagnostics["n_evals"])
     slack = 8 * n_g * (mesh.bandwidth + 64)
     assert peak < bound + slack
     assert draws.field_mean.shape == (stack.grid.n_cells,)
     assert draws.loglik.shape == (n_draws,)
-
-
-def largest_group(draws) -> int:
-    """The most draws made at one theta grid point: a draw's jitter is under
-    half a grid step on every axis."""
-    offsets = np.round((draws.log_hyper - draws.theta_mode) / draws.diagnostics["grid_delta"])
-    return int(np.unique(offsets, axis=0, return_counts=True)[1].max())
 
 
 def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
@@ -221,22 +262,27 @@ def test_fit_samples_through_one_normals_buffer(small_survey, monkeypatch):
     finally:
         tracemalloc.stop()
 
-    # each group solves inside its normals, and every group's normals are
-    # views of the first group's buffer
-    assert len(normals) == draws.diagnostics["grid_points"] == 9
+    # each block solves inside its normals, and every block's normals are
+    # views of the first block's buffer: the grid points' draws in blocks of
+    # at most bandwidth + 1 = 33
+    diag = draws.diagnostics
+    counts = diag["grid_counts"]
+    assert counts.size == diag["grid_points"] == 9 and counts.sum() == n_draws
+    assert len(normals) == diag["normal_passes"] == sum(math.ceil(n / 33) for n in counts)
+    assert max(z.shape[1] for z in normals) == 33
     assert all(in_place)
     assert all(np.shares_memory(z, normals[0]) for z in normals)
 
-    n_g = largest_group(draws)
-    # Bound: one full-lattice band of the factor and the largest group's
-    # (mesh.n, n_g) normals, 3.4 MB, plus a slack of (bandwidth + 64)
-    # doubles per draw of that group, 1.3 MB: the back-substitution's (n_g,
-    # bandwidth) block product and the small arrays of the fit (theta
-    # jitter, dense normals and solves, dense, theta and log-likelihood
-    # draws, cached theta modes). A fit that keeps the (A, grid) draws (4.6
-    # MB) peaks at 8.8 MB, 4.1 MB over the bound; one that also copied each
-    # group's (grid cells, n_g) solved block peaked at 10.4 MB. Reducing the
-    # draws as it makes them, the fit peaks at 4.2 MB.
-    bound = 8 * ((mesh.bandwidth + 1) * mesh.n + mesh.n * n_g)
+    n_g = int(counts.max())
+    # Bound: one full-lattice band of the factor and one block's (mesh.n,
+    # min(n_g, bandwidth + 1)) normals, 0.14 MB, plus a slack of (bandwidth
+    # + 64) doubles per draw of the largest group, 1.3 MB: the
+    # back-substitution's (block, bandwidth) product and the small arrays
+    # of the fit (theta jitter, dense normals and solves, dense, theta and
+    # log-likelihood draws, cached theta modes, the row scratch of a split
+    # grid point). A fit that samples a grid point in one block peaks at
+    # 4.2 MB, 2.7 MB over the bound; one that also keeps the (A, grid) draws
+    # (4.6 MB) at 8.8 MB. Sampling in blocks, the fit peaks at 0.57 MB.
+    bound = 8 * mesh.n * (mesh.bandwidth + 1 + min(n_g, mesh.bandwidth + 1))
     slack = 8 * n_g * (mesh.bandwidth + 64)
     assert peak < bound + slack

@@ -860,6 +860,18 @@ class TestCountLoglik:
         assert like.loglik(eta) + like.loglik_const == pytest.approx(manual, rel=1e-10)
 
 
+def test_log_factorials_match_gammaln():
+    # oracle: scipy's gammaln(y + 1), which the eta-free constant used before
+    # math.lgamma took its place; counts in any order, with repeats and a zero
+    from scipy.special import gammaln
+
+    y = np.random.default_rng(4).permutation(np.r_[np.arange(3000), [0, 7, 7, 170, 2999]])
+    np.testing.assert_allclose(inference._log_factorials(y), gammaln(y + 1.0), rtol=1e-15)
+    np.testing.assert_allclose(inference._log_factorials(y.astype(float)), gammaln(y + 1.0),
+                               rtol=1e-15)
+    assert inference._log_factorials(np.zeros(0)).shape == (0,)
+
+
 class TestHyperPrior:
     def test_gamma_logpdf_matches_scipy(self):
         from scipy.stats import gamma as gamma_dist
