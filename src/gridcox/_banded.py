@@ -11,11 +11,21 @@ column-major (Fortran order), the array is what LAPACK reads, so
 and the input is consumed. A C-ordered input is copied once and left as it
 was.
 
-The lower layout is the cheaper one to factor. With one OpenBLAS 0.3.31
-thread on a 2-core x86-64 host, ``pbtrf`` took 24.8 ms in place of 38.7 ms
-for the upper layout on the 96 x 96 mesh's band (n = 9216, bw = 192), and
-1.15 ms against 1.16 ms at n = 1024, bw = 64; the two factors' diagonals
-agreed to 7.8e-16 relative. ``dtbtrs`` costs about the same in both layouts.
+The lower layout is the cheaper one to factor. With one thread of the
+OpenBLAS 0.3.30 that scipy bundles, on a 2-core x86-64 host, ``pbtrf`` took
+12.7 ms in place of 19.5 ms for the upper layout on the 96 x 96 mesh's band
+(n = 9216, bw = 192; sigma = 1, rho = 300 m, 10 m cells; best of 21), and
+0.51 ms against 0.59 ms at n = 1024, bw = 64; the two factors' diagonals
+agreed to 7.5e-13 relative. ``dtbtrs`` costs about the same in both layouts.
+
+The kernels are scipy's f2py wrappers: ``dpbtrf`` and ``dtbtrs`` of
+``scipy.linalg._flapack``, ``dtrsm``, ``dtrmm``, ``dgemm`` and ``dsbmv`` of
+``scipy.linalg._fblas``, the objects ``scipy.linalg.get_lapack_funcs`` and
+``scipy.linalg.blas`` hand out. ``_wrapper_modules`` loads the two modules
+from their extension files, so the ``scipy.linalg`` package is not
+imported: its import, mostly its array-API layer cloning numpy, cost every
+gridcox process about 0.16 s and 17 MB resident. Where the files cannot be
+loaded it imports the package instead, and the wrappers are the same.
 
 Column-major band storage is also a dense column-major matrix with leading
 dimension ``bw``: entry (i, j) of the band sits at flat position
@@ -44,10 +54,57 @@ draws for the same seed.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.blas import dgemm, dsbmv, dtrmm, dtrsm
+
+
+def _load_extension(name: str, directory: str, suffixes) -> object:
+    """The extension module ``name`` from the first of its files in
+    ``directory`` with one of ``suffixes``; ImportError when there is none.
+
+    The module is entered in ``sys.modules`` under ``name``, so a later
+    ``import scipy.linalg`` takes it from there; only the package attribute
+    (``scipy.linalg._flapack``) stays unset, which ``from scipy.linalg
+    import _flapack`` does not need.
+    """
+    stem = os.path.join(directory, name.rpartition(".")[2])
+    for suffix in suffixes:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no extension file for {name} in {directory}")
+
+
+def _wrapper_modules(suffixes=tuple(importlib.machinery.EXTENSION_SUFFIXES)) -> tuple:
+    """scipy's f2py LAPACK and BLAS modules, ``scipy.linalg._flapack`` and
+    ``scipy.linalg._fblas``: taken from ``sys.modules`` when loaded, else
+    loaded from their extension files without the ``scipy.linalg`` package.
+    Falls back to importing ``scipy.linalg`` when a file cannot be found or
+    loaded; the wrappers are the same either way.
+    """
+    import scipy  # on Windows, this sets up the search path of scipy's DLLs
+
+    directory = os.path.join(scipy.__path__[0], "linalg")  # as the import system joins it
+    try:
+        return tuple(sys.modules.get(name) or _load_extension(name, directory, suffixes)
+                     for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"))
+    except ImportError:
+        from scipy.linalg import _fblas, _flapack
+
+        return _flapack, _fblas
+
+
+_flapack, _fblas = _wrapper_modules()
+dpbtrf, dtbtrs = _flapack.dpbtrf, _flapack.dtbtrs
+dgemm, dsbmv, dtrmm, dtrsm = _fblas.dgemm, _fblas.dsbmv, _fblas.dtrmm, _fblas.dtrsm
 
 
 def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -93,8 +150,7 @@ class BandedChol:
     """
 
     def __init__(self, ab: np.ndarray):
-        pbtrf, self._tbtrs = get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
-        self.factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        self.factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0 or not np.isfinite(self.factor[0]).all():
             raise np.linalg.LinAlgError(
                 f"banded Cholesky failed (pbtrf info={info}, or a non-finite pivot)"
@@ -107,7 +163,7 @@ class BandedChol:
 
     def _solve_tri(self, b: np.ndarray, trans: str) -> np.ndarray:
         b2 = b if b.ndim == 2 else b[:, None]
-        x, info = self._tbtrs(self.factor, b2, uplo="L", trans=trans)
+        x, info = dtbtrs(self.factor, b2, uplo="L", trans=trans)
         if info != 0:
             raise np.linalg.LinAlgError(f"tbtrs failed with info={info}")
         return x if b.ndim == 2 else x[:, 0]

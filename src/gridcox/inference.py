@@ -55,9 +55,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 
 from . import _banded
+from ._banded import dtrsm
 from .geodata import CovariateStack, DomainMask, PointPattern
 from .gmrf import LatticeMesh, MaternHyper, SparsePrecision, build_precision
 from .model import CellDesign, EffectVector, ModelSpec, build_design
@@ -101,8 +101,9 @@ def _openblas_threads() -> tuple:
     Linux or with another BLAS.
 
     Looked up once per process: importing this module loads both libraries
-    (numpy, and scipy.linalg through ``_banded``), and a forked worker
-    inherits the lookup with the rest of its parent's memory.
+    (numpy, and scipy's through the LAPACK and BLAS extension modules
+    ``_banded`` loads), and a forked worker inherits the lookup with the rest
+    of its parent's memory.
     """
     try:
         with open("/proc/self/maps") as fh:
