@@ -92,7 +92,7 @@ def _wrapper_modules(suffixes=tuple(importlib.machinery.EXTENSION_SUFFIXES)) -> 
     """
     import scipy  # on Windows, this sets up the search path of scipy's DLLs
 
-    directory = os.path.join(scipy.__path__[0], "linalg")  # as the import system joins it
+    directory = os.path.join(scipy.__path__[0], "linalg")
     try:
         return tuple(sys.modules.get(name) or _load_extension(name, directory, suffixes)
                      for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"))
